@@ -146,7 +146,7 @@ func BenchmarkStoreAddAll(b *testing.B) {
 			}
 		}
 	})
-	// Shuffled order exercises the per-shard grouping on unsorted input.
+	// Shuffled order exercises dedup and replacement on unsorted input.
 	b.Run("AddAllShuffled", func(b *testing.B) {
 		shuffled := append([]*rules.Rule(nil), res.Rules...)
 		rnd.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })

@@ -166,13 +166,27 @@ func ablationStore(b *testing.B) *rules.Store {
 	return store
 }
 
-// BenchmarkAblationHashKeyMean measures §4's mean-of-opcodes bucket lookup.
+// BenchmarkAblationHashKeyMean measures §4's flat mean-of-opcodes table:
+// one bucket per mean key holding every rule in canonical order, probed
+// by filtering to the window's length and trying Match in turn.
 func BenchmarkAblationHashKeyMean(b *testing.B) {
 	store := ablationStore(b)
+	byMean := map[int][]*rules.Rule{}
+	for _, r := range store.All() {
+		k := rules.HashKey(r.Guest)
+		byMean[k] = append(byMean[k], r)
+	}
 	window := arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		store.Lookup(window)
+		for _, r := range byMean[rules.HashKey(window)] {
+			if len(r.Guest) != len(window) {
+				continue
+			}
+			if _, ok := r.Match(window); ok {
+				break
+			}
+		}
 	}
 }
 
@@ -329,15 +343,15 @@ func BenchmarkAblationVerifySAT(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHashKeyHierarchical measures the §7 hierarchical index
-// against the flat mean-of-opcodes table on the same lookups.
+// BenchmarkAblationHashKeyHierarchical measures the §7 hierarchical
+// (mean, length, firstOp) table — the frozen Index the engine probes —
+// against the flat mean-of-opcodes table on the same lookup.
 func BenchmarkAblationHashKeyHierarchical(b *testing.B) {
-	store := ablationStore(b)
-	store.Hierarchical = true
+	ix := ablationStore(b).Freeze()
 	window := arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		store.Lookup(window)
+		ix.Lookup(window)
 	}
 }
 

@@ -11,7 +11,7 @@
 #   ./ci.sh bench   # bench guard: fig8 quick sweep + parallel-learn speedup gate
 #   ./ci.sh tiers   # tiered execution: cross-tier golden differential + threaded speedup gate
 #   ./ci.sh telemetry # disarmed-overhead gate + live /metrics endpoint smoke
-#   ./ci.sh dist    # rule-distribution: contention gate + ruleserve/dbtrun smoke
+#   ./ci.sh dist    # rule-distribution: dist unit tests + ruleserve/dbtrun smoke
 #   ./ci.sh chaos   # network fault matrix + chaos differential gate + cache-fallback smoke
 #   ./ci.sh mine    # continuous mining: unit + dedup fuzz + differential gate + flywheel smoke
 #   ./ci.sh all     # everything above (fuzz shortened to 5s), for pre-commit
@@ -29,7 +29,7 @@ run_check() {
 
 run_race() {
 	# Gates the concurrent code: the learn worker pool, the thread-safe
-	# (sharded) rule store and its distribution service, the DBT engine
+	# rule store and its distribution service, the DBT engine
 	# that consumes the store, and the internal telemetry/fault plumbing.
 	go test -race ./learn/... ./rules/... ./dbt/... ./internal/...
 }
@@ -43,7 +43,6 @@ run_fuzz() {
 	go test ./dbt -run '^$' -fuzz '^FuzzThreadedMatchesStep$' -fuzztime "$fuzztime"
 	go test ./dbt -run '^$' -fuzz '^FuzzNativeMatchesStep$' -fuzztime "$fuzztime"
 	go test ./rules -run '^$' -fuzz '^FuzzIndexMatchesStore$' -fuzztime "$fuzztime"
-	go test ./rules -run '^$' -fuzz '^FuzzShardedStoreMatchesSingle$' -fuzztime "$fuzztime"
 	go test ./mine -run '^$' -fuzz '^FuzzMineCandidateKey$' -fuzztime "$fuzztime"
 	go test ./x86 -run '^$' -fuzz '^FuzzEncodeDecodeRoundTrip$' -fuzztime "$fuzztime"
 	go test ./x86 -run '^$' -fuzz '^FuzzEncodedLenDiff$' -fuzztime "$fuzztime"
@@ -69,15 +68,15 @@ run_faults() {
 run_bench() {
 	# The fig8 quick sweep must complete without panic inside the timeout,
 	# parallel learning must hit its speedup gate (auto-skipped below 4
-	# CPUs), the frozen rule index must beat the locked store by its gate,
-	# and the simulated-cycle model must match the pinned golden stats.
+	# CPUs), and the simulated-cycle model must match the pinned golden
+	# stats.
 	go test ./bench -count=1 -timeout 15m -v \
-		-run '^(TestFig8Quick|TestParallelLearnSpeedup|TestLongestMatchSpeedup|TestStatsGolden)$'
-	# Machine-readable perf trajectory: the fast-path microbenchmarks, the
-	# learn benchmarks, and the sharded-store contention/refreeze
-	# benchmarks, as benchstat-convertible JSON in $bench_out.
+		-run '^(TestFig8Quick|TestParallelLearnSpeedup|TestStatsGolden)$'
+	# Machine-readable perf trajectory: the rule-lookup and dispatch
+	# microbenchmarks, the learn benchmarks, and batched store admission,
+	# as benchstat-convertible JSON in $bench_out.
 	bench_txt="$(go test ./bench -run '^$' -count=1 -timeout 15m \
-		-bench '^(BenchmarkLongestMatch|BenchmarkDispatch|BenchmarkDispatchTelemetry|BenchmarkLearnSerial|BenchmarkLearnParallel|BenchmarkStoreAddParallel|BenchmarkStoreAddAll|BenchmarkFreezeSharded)$')"
+		-bench '^(BenchmarkLongestMatch|BenchmarkDispatch|BenchmarkDispatchTelemetry|BenchmarkLearnSerial|BenchmarkLearnParallel|BenchmarkStoreAddAll)$')"
 	printf '%s\n' "$bench_txt"
 	printf '%s\n' "$bench_txt" | go run ./cmd/benchjson > "$bench_out"
 	echo "ci.sh: wrote $bench_out"
@@ -143,10 +142,11 @@ run_telemetry() {
 	# The subsystem's two contracts, as tests: armed telemetry observes the
 	# engine without perturbing the deterministic cycle model, and an
 	# attached-but-disarmed registry costs within 5% of no registry at all
-	# on the dispatch hot loop.
+	# on the dispatch hot loop (median of interleaved pairs) and adds no
+	# allocation to a warm run.
 	go test ./internal/telemetry -count=1
 	go test ./dbt -count=1 -run '^TestTelemetry'
-	go test ./bench -count=1 -v -timeout 10m -run '^TestTelemetryDisarmedOverhead$'
+	go test ./bench -count=1 -v -timeout 10m -run '^TestTelemetryDisarmed(Overhead|Allocs)$'
 
 	# Endpoint smoke against live processes: rulelearn must serve nonzero
 	# per-phase learner timings, then dbtrun (rules backend, on the rules
@@ -211,11 +211,6 @@ run_dist() {
 	# The distribution service's own unit tests (wire contract, snapshot
 	# cache, long-poll, incremental quarantine subscription).
 	go test ./rules/dist -count=1
-	# Contention gate: at >= 4 writers on disjoint shards, the sharded
-	# store must improve the lock-wait-inclusive rules_add_ns p99 by >= 2x
-	# over a single-lock store (auto-skips below 4 CPUs, where writers
-	# timeshare and scheduler noise drowns the lock-wait signal).
-	go test ./bench -count=1 -v -run '^TestStoreContentionGate$'
 
 	# End-to-end smoke: the same rule file served over the wire must
 	# reproduce the local -rules run exactly — same result, same guest

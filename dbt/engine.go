@@ -8,6 +8,7 @@ import (
 	"dbtrules/arm"
 	"dbtrules/dbt/jitbuf"
 	"dbtrules/internal/faultinject"
+	"dbtrules/internal/telemetry"
 	"dbtrules/mach"
 	"dbtrules/prog"
 	"dbtrules/rules"
@@ -158,10 +159,6 @@ type Engine struct {
 	// DisableChaining turns off block chaining (every TB entry pays the
 	// full dispatch cost — the pre-chaining QEMU behaviour).
 	DisableChaining bool
-	// DisableRuleIndex forces rule matching through the locked Store
-	// paths instead of the frozen Index (ablation and differential-test
-	// knob for the translation fast path).
-	DisableRuleIndex bool
 
 	// Tier selects the execution tier (see tier.go). The zero value is
 	// TierAuto: interpret cold blocks, promote hot ones to pre-bound
@@ -191,14 +188,12 @@ type Engine struct {
 	tbs     []*TB
 	tbCount int
 	lastTB  *TB
-	// idx is the frozen lock-free snapshot of Rules; scan amortizes the
-	// per-block prefix sums across every window probe in a TB. Both are
-	// rebuilt when the store's version moves between Runs; if the store
-	// mutates mid-run (learning and translation interleaving), translate
-	// falls back to the locked store paths.
-	idx  *rules.Index
-	scan *rules.BlockScanner
-	st   *x86.State
+	// idx is the frozen lock-free snapshot of Rules. translate refreezes
+	// it when the store's version has moved (learning and translation
+	// interleaving); Freeze is cached, so an unchanged store costs one
+	// version compare.
+	idx *rules.Index
+	st  *x86.State
 	// pageGen holds per-page generation counters for TB invalidation
 	// (tbPageShift instructions per page); a TB whose Gen lags its entry
 	// page's counter is retranslated at dispatch.
@@ -228,6 +223,10 @@ type Engine struct {
 	// site is gated on nil-ness plus the registry's armed bit, so an
 	// un-instrumented engine's behaviour and Stats are bit-identical.
 	tel *engineTel
+	// telReg is tel's registry, held directly so the per-dispatch armed
+	// check in exec is one field load plus the armed flag's load rather
+	// than a walk through tel.
+	telReg *telemetry.Registry
 	// ruleHits, when EnableRuleHits allocated it, counts block dispatches
 	// per contributing rule ID (see rulehits.go). Outside Stats: it
 	// observes the run, never feeds the cycle model.
@@ -280,14 +279,6 @@ func (e *Engine) Run(fn string, args []uint32, maxGuestInstrs uint64) (uint32, e
 	// not eat into this run's allowance.
 	e.faultRetries = map[int]int{}
 	e.adoptOffered()
-	if e.Rules != nil && e.idx != nil && e.idx.Version() != e.Rules.Version() {
-		// The store gained rules since the last freeze (e.g. learning
-		// finished between Runs): refreeze so translation stays on the
-		// lock-free path.
-		e.idx = e.Rules.Freeze()
-		e.scan = nil
-		e.tel.telRefreeze()
-	}
 	for r := arm.Reg(0); r < arm.NumRegs; r++ {
 		e.setEnv(EnvReg(r), 0)
 	}
@@ -529,10 +520,10 @@ func (e *Engine) exec(tb *TB) {
 		}
 	}
 	// Telemetry last, after all deterministic state has moved: the
-	// disarmed cost is the armed() load; the counters never feed back
-	// into the cycle model.
-	if t := e.tel; t.armed() {
-		t.telDispatch(tb, chained, execTier)
+	// disarmed cost is the registry's armed-flag load; the counters never
+	// feed back into the cycle model.
+	if e.telReg.Armed() {
+		e.tel.telDispatch(tb, chained, execTier)
 	}
 }
 
@@ -638,19 +629,11 @@ func (e *Engine) translate(gpc int) (*TB, error) {
 	// entry to pure-TCG translation (the containment path's safe retry).
 	useRules := e.Backend == BackendRules && e.Rules != nil && !e.forceTCG[gpc]
 
-	// Translation fast path: a frozen-index scanner with O(1) window keys,
-	// unless the snapshot is stale (the store mutated mid-run) or the
-	// index is disabled — then sc stays nil and rule probes take the
-	// locked store paths.
-	var sc *rules.BlockScanner
-	if useRules && !e.DisableRuleIndex &&
-		e.idx != nil && e.idx.Version() == e.Rules.Version() {
-		if e.scan == nil {
-			e.scan = e.idx.NewBlockScanner(block)
-		} else {
-			e.scan.Reset(block)
-		}
-		sc = e.scan
+	// The store may have changed since the last freeze (rules added
+	// between or during Runs): refreeze so every probe sees it.
+	if useRules && e.idx.Version() != e.Rules.Version() {
+		e.idx = e.Rules.Freeze()
+		e.tel.telRefreeze()
 	}
 
 	i := 0
@@ -658,7 +641,7 @@ func (e *Engine) translate(gpc int) (*TB, error) {
 		in := block[i]
 		// Rule application first (rules backend only).
 		if useRules {
-			if n := e.tryRules(t, tb, sc, block, i, gpc); n > 0 {
+			if n := e.tryRules(t, tb, block, i, gpc); n > 0 {
 				cost += uint64(n) * transRulePerInstr
 				i += n
 				continue

@@ -167,7 +167,6 @@ func (e *Engine) quarantine(id int) bool {
 	}
 	e.Stats.QuarantinedRules += uint64(n)
 	e.idx = e.Rules.Freeze()
-	e.scan = nil
 	e.tel.telQuarantine(id, n)
 	return true
 }

@@ -117,42 +117,17 @@ func planRuleFlags(r *rules.Rule, live [4]bool, disableSave bool) rulesFlagPlan 
 
 // tryRules attempts to translate a rule-covered window starting at block
 // position i. It returns the number of guest instructions consumed (0 when
-// no rule applies). With a scanner (the frozen-index fast path) each probe
-// uses an O(1) prefix-sum window key and skips lengths the first-opcode
-// mask rules out; without one it falls back to the locked store lookups.
-// Both paths probe the same lengths in the same order against the same
-// bucket ordering, so which rule wins is identical.
-func (e *Engine) tryRules(t *translator, tb *TB, sc *rules.BlockScanner, block []arm.Instr, i, gpc int) int {
-	var maxLen int
-	if sc != nil {
-		maxLen = sc.MaxLen(i)
-	} else {
-		maxLen = len(block) - i
-		if m := e.Rules.MaxLen(); maxLen > m {
-			maxLen = m
+// no rule applies). Window lengths are probed in the frozen index longest
+// first (§4), or shortest first under the ShortestMatch ablation; a
+// matched rule that fails to apply falls through to the next length.
+func (e *Engine) tryRules(t *translator, tb *TB, block []arm.Instr, i, gpc int) int {
+	n := min(len(block)-i, e.idx.MaxLen())
+	for k := 0; k < n; k++ {
+		l := n - k
+		if e.ShortestMatch {
+			l = k + 1
 		}
-	}
-	lens := make([]int, 0, maxLen)
-	if e.ShortestMatch {
-		for l := 1; l <= maxLen; l++ {
-			lens = append(lens, l)
-		}
-	} else {
-		for l := maxLen; l >= 1; l-- {
-			lens = append(lens, l)
-		}
-	}
-	for _, l := range lens {
-		var (
-			r  *rules.Rule
-			b  *rules.Binding
-			ok bool
-		)
-		if sc != nil {
-			r, b, ok = sc.Match(i, l)
-		} else {
-			r, b, ok = e.Rules.Lookup(block[i : i+l])
-		}
+		r, b, ok := e.idx.Lookup(block[i : i+l])
 		if !ok {
 			continue
 		}

@@ -38,15 +38,16 @@ func (e *Engine) OfferRules(store *rules.Store) {
 
 // adoptOffered installs a pending offer, if any. Called only at safe
 // points: no TB is executing, so flushing the cache cannot pull code out
-// from under a running block.
+// from under a running block. With nothing pending it costs one atomic
+// load; only a pending offer pays the Swap that claims it. The engine is
+// the only goroutine that clears the slot, so the Swap returns the offer.
 func (e *Engine) adoptOffered() {
-	o := e.offered.Swap(nil)
-	if o == nil {
+	if e.offered.Load() == nil {
 		return
 	}
+	o := e.offered.Swap(nil)
 	e.Rules = o.store
 	e.idx = o.idx
-	e.scan = nil
 	for i := range e.tbs {
 		// The flush demotes every promoted block: thunks compiled under
 		// the old rule set die with their TBs, and retranslated blocks

@@ -70,6 +70,7 @@ type engineTel struct {
 // are unaffected either way — telemetry observes, it never alters the
 // deterministic cycle model.
 func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
+	e.telReg = reg
 	if reg == nil {
 		e.tel = nil
 		return
@@ -199,7 +200,8 @@ func (t *engineTel) telNativeBailShape(shape string) {
 	c.Inc()
 }
 
-// telRefreeze records a version-change refreeze between Runs.
+// telRefreeze records a refreeze forced by a store version change (a
+// rule-set swap, or translate finding the store moved).
 func (t *engineTel) telRefreeze() {
 	if !t.armed() {
 		return

@@ -47,8 +47,8 @@ type Options struct {
 }
 
 // publish pushes a merged batch into Options.PublishTo, if set. The
-// batch lands through Store.AddAll — one shard-lock pass per shard
-// instead of a lock round-trip per rule — and the store's dedup verdict
+// batch lands through Store.AddAll — one lock acquisition instead of a
+// lock round-trip per rule — and the store's dedup verdict
 // (added vs rejected) is at least observable there, where the
 // one-at-a-time Add loop silently discarded it.
 func (o Options) publish(out []*rules.Rule) {

@@ -1,9 +1,24 @@
 package rules
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"dbtrules/arm"
+	"dbtrules/x86"
 )
+
+// opRule builds a one-instruction rule "<op> r0, r0, #n".
+func opRule(id int, op string, n int) *Rule {
+	return &Rule{
+		ID:           id,
+		Guest:        []arm.Instr{arm.MustParse(fmt.Sprintf("%s r0, r0, #%d", op, n))},
+		Host:         []x86.Instr{x86.MustParse("movl $1, %eax")},
+		NumRegParams: 1,
+		Source:       fmt.Sprintf("op:%s:%d", op, n),
+	}
+}
 
 // addAllDifferential drives AddAll and a sequential Add loop over the
 // same rule list (on stores with identical prior state) and asserts the

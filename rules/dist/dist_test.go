@@ -11,8 +11,7 @@ import (
 	"dbtrules/x86"
 )
 
-// testRule builds a distinct one-instruction rule; the opcode choice
-// spreads patterns across store shards.
+// testRule builds a distinct one-instruction rule.
 func testRule(id int, op string, n int) *rules.Rule {
 	return &rules.Rule{
 		ID:           id,
@@ -286,7 +285,7 @@ func TestSubscribeInstallFilter(t *testing.T) {
 		if d.store.Count() != store.Count()-1 {
 			t.Fatalf("filtered delivery has %d rules, want %d", d.store.Count(), store.Count()-1)
 		}
-		if _, _, ok := d.store.Lookup([]arm.Instr{arm.MustParse("and r4, r4, #0")}); ok {
+		if _, _, ok := d.store.Freeze().Lookup([]arm.Instr{arm.MustParse("and r4, r4, #0")}); ok {
 			t.Error("filtered rule 1 leaked into the local store")
 		}
 	case <-time.After(10 * time.Second):

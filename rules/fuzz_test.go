@@ -144,10 +144,12 @@ func parameterize(window []arm.Instr, hostLen, id int, immParams bool) (*Rule, b
 }
 
 // buildRandomStore installs rules parameterized from random sub-windows
-// of block (so lookups really hit) and of decoy (bucket noise).
-func buildRandomStore(r *rand.Rand, block, decoy []arm.Instr, hier bool, nRules int) *Store {
+// of block (so lookups really hit) and of decoy (bucket noise). With batch
+// set the same rules go in through one AddAll call instead of one Add
+// each; the store must come out the same either way.
+func buildRandomStore(r *rand.Rand, block, decoy []arm.Instr, batch bool, nRules int) *Store {
 	s := NewStore()
-	s.Hierarchical = hier
+	var list []*Rule
 	id := 1
 	for tries := 0; tries < 400 && s.Count() < nRules; tries++ {
 		src := block
@@ -164,7 +166,12 @@ func buildRandomStore(r *rand.Rand, block, decoy []arm.Instr, hier bool, nRules 
 			continue
 		}
 		s.Add(rule)
+		list = append(list, rule)
 		id++
+	}
+	if batch {
+		s = NewStore()
+		s.AddAll(list)
 	}
 	return s
 }
@@ -181,46 +188,33 @@ func sameMatch(a, b matchResult) bool {
 	return a.rule == b.rule && a.l == b.l && a.ok == b.ok && reflect.DeepEqual(a.b, b.b)
 }
 
-// checkIndexAgainstStore asserts, at every position of block, that the
-// frozen Index and a BlockScanner over it return byte-identical results
-// to the locked Store paths: LongestMatch, ShortestMatch, and exact
-// Lookup at every window length.
-func checkIndexAgainstStore(t *testing.T, s *Store, ix *Index, sc *BlockScanner, block []arm.Instr) {
+// checkIndexAgainstOracle asserts, at every position of block, that the
+// frozen Index returns byte-identical results to the naive oracle in both
+// its coarse (§4) and fine (§7) modes — same rule, same binding — for
+// exact Lookup at every window length 1..6, and for the engine's
+// longest-first and shortest-first probe orders.
+func checkIndexAgainstOracle(t *testing.T, s *Store, ix *Index, block []arm.Instr) {
 	t.Helper()
+	modes := []oracle{{s: s}, {s: s, fine: true}}
 	for i := range block {
-		sr, sb, sl, sok := s.LongestMatch(block, i)
-		ir, ib, il, iok := ix.LongestMatch(block, i)
-		cr, cb, cl, cok := sc.LongestMatch(i)
-		want := matchResult{sr, sb, sl, sok}
-		if got := (matchResult{ir, ib, il, iok}); !sameMatch(got, want) {
-			t.Fatalf("pos %d: Index.LongestMatch %+v, Store %+v", i, got, want)
-		}
-		if got := (matchResult{cr, cb, cl, cok}); !sameMatch(got, want) {
-			t.Fatalf("pos %d: scanner LongestMatch %+v, Store %+v", i, got, want)
-		}
-
-		sr, sb, sl, sok = s.ShortestMatch(block, i)
-		ir, ib, il, iok = ix.ShortestMatch(block, i)
-		cr, cb, cl, cok = sc.ShortestMatch(i)
-		want = matchResult{sr, sb, sl, sok}
-		if got := (matchResult{ir, ib, il, iok}); !sameMatch(got, want) {
-			t.Fatalf("pos %d: Index.ShortestMatch %+v, Store %+v", i, got, want)
-		}
-		if got := (matchResult{cr, cb, cl, cok}); !sameMatch(got, want) {
-			t.Fatalf("pos %d: scanner ShortestMatch %+v, Store %+v", i, got, want)
-		}
-
 		for l := 1; l <= 6 && i+l <= len(block); l++ {
 			window := block[i : i+l]
-			lr, lb, lok := s.Lookup(window)
 			xr, xb, xok := ix.Lookup(window)
-			mr, mb, mok := sc.Match(i, l)
-			want := matchResult{lr, lb, l, lok}
-			if got := (matchResult{xr, xb, l, xok}); !sameMatch(got, want) {
-				t.Fatalf("pos %d len %d: Index.Lookup %+v, Store %+v", i, l, got, want)
+			got := matchResult{xr, xb, l, xok}
+			for _, o := range modes {
+				or, ob, ook := o.lookup(window)
+				if want := (matchResult{or, ob, l, ook}); !sameMatch(got, want) {
+					t.Fatalf("pos %d len %d: Index.Lookup %+v, oracle (fine=%v) %+v", i, l, got, o.fine, want)
+				}
 			}
-			if got := (matchResult{mr, mb, l, mok}); !sameMatch(got, want) {
-				t.Fatalf("pos %d len %d: scanner Match %+v, Store %+v", i, l, got, want)
+		}
+		for _, shortest := range []bool{false, true} {
+			got := probe(ix.Lookup, ix.MaxLen(), block, i, shortest)
+			for _, o := range modes {
+				if want := probe(o.lookup, s.MaxLen(), block, i, shortest); !sameMatch(got, want) {
+					t.Fatalf("pos %d shortest=%v: Index probe %+v, oracle (fine=%v) %+v",
+						i, shortest, got, o.fine, want)
+				}
 			}
 		}
 	}
@@ -228,37 +222,55 @@ func checkIndexAgainstStore(t *testing.T, s *Store, ix *Index, sc *BlockScanner,
 
 // runIndexDifferential is the body shared by the deterministic test and
 // the native fuzz target.
-func runIndexDifferential(t *testing.T, seed int64, hier bool, nRules int) {
+func runIndexDifferential(t *testing.T, seed int64, batch bool, nRules int) {
 	r := rand.New(rand.NewSource(seed))
 	block := genGuestBlock(r, 24+r.Intn(40))
 	decoy := genGuestBlock(r, 24)
-	s := buildRandomStore(r, block, decoy, hier, nRules)
+	s := buildRandomStore(r, block, decoy, batch, nRules)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	ix := s.Freeze()
-	if ix.Count() != s.Count() || ix.MaxLen() != s.MaxLen() || ix.Version() != s.Version() {
-		t.Fatalf("seed %d: snapshot metadata %d/%d/%d, store %d/%d/%d", seed,
-			ix.Count(), ix.MaxLen(), ix.Version(), s.Count(), s.MaxLen(), s.Version())
+	check := func() {
+		ix := s.Freeze()
+		if ix.Count() != s.Count() || ix.MaxLen() != s.MaxLen() || ix.Version() != s.Version() {
+			t.Fatalf("seed %d: snapshot metadata %d/%d/%d, store %d/%d/%d", seed,
+				ix.Count(), ix.MaxLen(), ix.Version(), s.Count(), s.MaxLen(), s.Version())
+		}
+		checkIndexAgainstOracle(t, s, ix, block)
+		checkIndexAgainstOracle(t, s, ix, decoy)
 	}
-	sc := ix.NewBlockScanner(block)
-	checkIndexAgainstStore(t, s, ix, sc, block)
-	sc.Reset(decoy) // scanner reuse across blocks
-	checkIndexAgainstStore(t, s, ix, sc, decoy)
+	check()
+	// Pull about half the rules, by Quarantine and by Remove, then hold
+	// the refrozen index to the oracle again: removals must drop exactly
+	// their victims and recompute MaxLen.
+	for _, rule := range s.All() {
+		switch r.Intn(4) {
+		case 0:
+			s.Quarantine(rule.ID)
+		case 1:
+			s.Remove(rule.ID)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("seed %d after removals: %v", seed, err)
+	}
+	check()
 }
 
 // FuzzIndexMatchesStore is the differential fuzz target behind the CI
 // fuzz-smoke stage: for random rule sets over random guest blocks, the
-// frozen Index (and its BlockScanner) must return byte-identical results
-// to the locked Store paths — same rule, same binding, same length — for
-// LongestMatch, ShortestMatch, and exact Lookup, in both the flat and
-// hierarchical (§7) indexing modes.
+// frozen Index must return byte-identical results to the naive oracle in
+// both its coarse and fine (§7 hierarchical) modes — same rule, same
+// binding, same length — for exact Lookup and for the engine's
+// longest-first and shortest-first probes, whether the rules were
+// installed one Add at a time or in one AddAll batch, and again after
+// Quarantine and Remove have pulled some of them.
 func FuzzIndexMatchesStore(f *testing.F) {
 	for _, seed := range []int64{1, 7, 20260805} {
 		f.Add(seed, false, uint8(12))
 		f.Add(seed, true, uint8(20))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, hier bool, nRules uint8) {
-		runIndexDifferential(t, seed, hier, int(nRules)%28+4)
+	f.Fuzz(func(t *testing.T, seed int64, batch bool, nRules uint8) {
+		runIndexDifferential(t, seed, batch, int(nRules)%28+4)
 	})
 }

@@ -1,30 +1,21 @@
 package rules
 
 import (
-	"math/bits"
 	"time"
 
 	"dbtrules/arm"
 )
 
 // Index is an immutable snapshot of a Store built for the translation
-// hot loop: every lookup structure is frozen at Freeze time, so Lookup,
-// LongestMatch and ShortestMatch run without taking any lock. The match
-// results are byte-identical to the locked Store paths on the same rule
-// set (the bucket order — which decides ties between same-length rules —
-// is copied verbatim).
+// hot loop: every lookup structure is frozen at Freeze time, so Lookup
+// runs without taking any lock. Candidates are tried in the store's Add
+// order, which decides ties between same-length rules.
 //
-// Beyond lock elision the Index adds two §7-style accelerations:
-//
-//   - lenMask: per first-opcode bitmask of the guest-pattern lengths
-//     installed for that opcode. A longest-match scan probes only lengths
-//     that can possibly hold a rule (a rule's pattern matches a window
-//     only if the first opcodes agree), instead of hashing every window
-//     length at every block position.
-//
-//   - BlockScanner: prefix sums of the opcodes over a guest block, making
-//     any window's mean-of-opcodes key an O(1) subtraction instead of an
-//     O(length) rescan.
+// Beyond lock elision the Index adds a §7-style acceleration, lenMask:
+// per first-opcode bitmask of the guest-pattern lengths installed for
+// that opcode. A longest-match scan's probe of a length that cannot hold
+// a rule (a rule's pattern matches a window only if the first opcodes
+// agree) returns before hashing the window.
 type Index struct {
 	version uint64
 	count   int
@@ -33,13 +24,11 @@ type Index struct {
 	// flat array indexed (mean*lenDim + length-1)*opDim + firstOp — a
 	// bounds check and one multiply-add instead of hashing a struct key.
 	// Per-(mean, length, firstOp) lists are the only candidate table the
-	// snapshot needs, whatever the store's Hierarchical policy: a probe of
-	// the coarse byKey bucket filtered to the window's length can only
-	// ever match rules whose first opcode equals the window's (Match
-	// rejects at instruction 0 otherwise), and bucket appends happen in
-	// the same Add order for byKey and byFine, so the fine list is exactly
-	// the coarse bucket's viable subsequence — same candidates, same tie
-	// order, same winner.
+	// snapshot needs: a probe of §4's coarse mean-key bucket filtered to
+	// the window's length can only ever match rules whose first opcode
+	// equals the window's (Match rejects at instruction 0 otherwise), so
+	// the fine list is exactly the coarse bucket's viable subsequence —
+	// same candidates, same tie order, same winner.
 	//
 	// Within a cell, candidates are grouped by the positional fingerprint
 	// of their full (Op, Cond, SetFlags) sequence: a rule can only match a
@@ -49,7 +38,7 @@ type Index struct {
 	// a hash collision merely lands unrelated rules in the same group,
 	// where Match still rejects them. Grouping keeps bucket insertion
 	// order within a group, which is the relative order of all candidates
-	// that can possibly match a given window — ties resolve as before.
+	// that can possibly match a given window — ties resolve in Add order.
 	dense                  [][]fpGroup
 	meanDim, lenDim, opDim int
 	// lenMask[op] bit l-1 is set when a rule of guest length l whose
@@ -59,49 +48,11 @@ type Index struct {
 	lenMask [256]uint64
 }
 
-// shardSnap is one shard's frozen contribution to an Index: deep-copied
-// fine buckets (the slices are copied; the rules they point at are
-// immutable once installed) plus the shard's exact count and maxLen,
-// stamped with the shard version it reflects. A snap is immutable after
-// construction, so Freeze can stitch from it lock-free and cache it on
-// the shard for the next freeze.
-type shardSnap struct {
-	version uint64
-	count   int
-	maxLen  int
-	fine    map[fineKey][]*Rule
-}
-
-// buildSnap captures the shard's current contents. The caller holds at
-// least sh.mu.RLock.
-func (sh *shard) buildSnap() *shardSnap {
-	snap := &shardSnap{
-		version: sh.version,
-		count:   sh.count,
-		maxLen:  sh.maxLen,
-		fine:    make(map[fineKey][]*Rule, len(sh.byFine)),
-	}
-	for k, bucket := range sh.byFine {
-		snap.fine[k] = append([]*Rule(nil), bucket...)
-	}
-	return snap
-}
-
 // Freeze snapshots the store into an immutable lock-free Index. The
 // snapshot carries the store's version counter, so callers can detect
-// staleness (Store.Version() moved on) and refreeze or fall back to the
-// locked paths. The snapshot's results match the locked store in either
-// Hierarchical mode (both modes pick the same winners; see byFine).
-//
-// Freeze takes every shard's read lock (in shard order) only long enough
-// to capture per-shard snapshots, reusing each shard's cached snap when
-// its version is unchanged — so a refreeze after a shard-confined
-// mutation (an Add, or a Quarantine whose victims live in one shard)
-// copies only the dirty shard and stitches the rest from cache. The
-// stitch itself runs after the locks drop. Because a fine key's mean
-// decides its shard, each dense cell is filled by exactly one shard's
-// buckets in that shard's Add order: the resulting Index is identical to
-// one frozen from a single-lock store holding the same rules.
+// staleness (Store.Version() moved on) and refreeze. The Index is built
+// straight from the fine buckets under the read lock and cached: while
+// the version is unchanged, Freeze returns the same *Index.
 func (s *Store) Freeze() *Index {
 	tel := s.telArmed()
 	if tel != nil {
@@ -111,100 +62,50 @@ func (s *Store) Freeze() *Index {
 			tel.freezeNS.ObserveSince(t0)
 		}()
 	}
-	snaps := make([]*shardSnap, len(s.shards))
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-	}
-	// All writers are excluded while we hold every read lock, so the
-	// global counter is exactly the sum of the shard states we snapshot.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	// Writers are excluded while we hold the read lock, so the version
+	// is exactly the state we snapshot, and a cached Index stamped with
+	// it is that snapshot. Concurrent freezers may both rebuild and race
+	// the cache store; their Indexes are equivalent.
 	version := s.version.Load()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		snap := sh.snap.Load()
-		if snap == nil || snap.version != sh.version {
-			snap = sh.buildSnap()
-			// Concurrent freezers may both rebuild and race this store;
-			// the snaps are equivalent (same shard version), so last
-			// write winning is harmless.
-			sh.snap.Store(snap)
+	if cached := s.frozen.Load(); cached != nil && cached.version == version {
+		if tel != nil {
+			tel.freezeReuses.Inc()
 		}
-		snaps[i] = snap
+		return cached
 	}
-	for i := range s.shards {
-		s.shards[i].mu.RUnlock()
-	}
-
-	// Stitch fast path: when every shard snapshot is the one the last
-	// stitched Index was built from, the rule set is byte-identical and the
-	// cached Index (immutable, safe to share) is the answer. An Index is
-	// only ever cached with the version stamped from the same snapshot set,
-	// so the version check is a belt-and-braces guard against a concurrent
-	// freezer racing the cache store.
-	if cached := s.stitched.Load(); cached != nil && cached.ix.version == version {
-		same := len(cached.snaps) == len(snaps)
-		for i := 0; same && i < len(snaps); i++ {
-			same = cached.snaps[i] == snaps[i]
-		}
-		if same {
-			if tel != nil {
-				tel.freezeReuses.Inc()
-			}
-			return cached.ix
-		}
-	}
-
-	ix := &Index{version: version}
-	fineKeys := 0
-	for _, sn := range snaps {
-		ix.count += sn.count
-		if sn.maxLen > ix.maxLen {
-			ix.maxLen = sn.maxLen
-		}
-		fineKeys += len(sn.fine)
-		for k := range sn.fine {
-			if k.mean >= ix.meanDim {
-				ix.meanDim = k.mean + 1
-			}
-			if int(k.firstOp) >= ix.opDim {
-				ix.opDim = int(k.firstOp) + 1
-			}
+	ix := &Index{version: version, count: len(s.byPattern), maxLen: s.maxLen}
+	for k := range s.byFine {
+		ix.meanDim = max(ix.meanDim, k.mean+1)
+		ix.opDim = max(ix.opDim, int(k.firstOp)+1)
+		if k.length <= 64 {
+			ix.lenMask[k.firstOp] |= 1 << (k.length - 1)
 		}
 	}
 	ix.lenDim = ix.maxLen
-	if fineKeys > 0 {
+	if len(s.byFine) > 0 {
 		ix.dense = make([][]fpGroup, ix.meanDim*ix.lenDim*ix.opDim)
-		for _, sn := range snaps {
-			for k, bucket := range sn.fine {
-				cell := &ix.dense[(k.mean*ix.lenDim+k.length-1)*ix.opDim+int(k.firstOp)]
-				for _, r := range bucket {
-					fp := seqFingerprint(r.Guest)
-					g := -1
-					for gi := range *cell {
-						if (*cell)[gi].fp == fp {
-							g = gi
-							break
-						}
-					}
-					if g < 0 {
-						*cell = append(*cell, fpGroup{fp: fp})
-						g = len(*cell) - 1
-					}
-					(*cell)[g].rules = append((*cell)[g].rules, r)
+	}
+	for k, bucket := range s.byFine {
+		cell := &ix.dense[(k.mean*ix.lenDim+k.length-1)*ix.opDim+int(k.firstOp)]
+		for _, r := range bucket {
+			fp := seqFingerprint(r.Guest)
+			g := -1
+			for gi := range *cell {
+				if (*cell)[gi].fp == fp {
+					g = gi
+					break
 				}
 			}
-		}
-	}
-	// Every installed rule appears in exactly one fine bucket whose key
-	// carries its (firstOp, length), so the fine keys reproduce the mask
-	// the byPattern sweep used to build.
-	for _, sn := range snaps {
-		for k := range sn.fine {
-			if k.length >= 1 && k.length <= 64 {
-				ix.lenMask[k.firstOp] |= 1 << (k.length - 1)
+			if g < 0 {
+				*cell = append(*cell, fpGroup{fp: fp})
+				g = len(*cell) - 1
 			}
+			(*cell)[g].rules = append((*cell)[g].rules, r)
 		}
 	}
-	s.stitched.Store(&stitchedIndex{snaps: snaps, ix: ix})
+	s.frozen.Store(ix)
 	return ix
 }
 
@@ -226,16 +127,38 @@ func (ix *Index) hasLen(op arm.Op, l int) bool {
 	return ix.lenMask[op]&(1<<(l-1)) != 0
 }
 
-// Lookup finds a rule matching the exact window, identically to
-// Store.Lookup but without locking.
+// Lookup finds a rule matching the exact window (same length): the
+// first candidate, in Add order, of the window's (mean, length, firstOp)
+// cell whose pattern Matches. A window whose key falls outside the table
+// dims cannot match any installed rule.
 func (ix *Index) Lookup(window []arm.Instr) (*Rule, *Binding, bool) {
 	if len(window) == 0 {
 		return nil, nil, false
 	}
-	if !ix.hasLen(window[0].Op, len(window)) {
+	l, op := len(window), int(window[0].Op)
+	if !ix.hasLen(window[0].Op, l) {
 		return nil, nil, false
 	}
-	return ix.lookupKeyed(window, HashKey(window), seqFingerprint(window))
+	mean := HashKey(window)
+	if mean >= ix.meanDim || l > ix.lenDim || op >= ix.opDim {
+		return nil, nil, false
+	}
+	cell := ix.dense[(mean*ix.lenDim+l-1)*ix.opDim+op]
+	if len(cell) == 0 {
+		return nil, nil, false
+	}
+	fp := seqFingerprint(window)
+	for _, g := range cell {
+		if g.fp != fp {
+			continue
+		}
+		for _, r := range g.rules {
+			if b, ok := r.Match(window); ok {
+				return r, b, true
+			}
+		}
+	}
+	return nil, nil, false
 }
 
 // fpGroup is one fingerprint class of candidates inside a dense cell.
@@ -244,19 +167,8 @@ type fpGroup struct {
 	rules []*Rule
 }
 
-// fpBase is the (odd, hence invertible mod 2^64) base of the positional
-// sequence fingerprint; fpInv is its multiplicative inverse.
+// fpBase is the base of the positional sequence fingerprint.
 const fpBase uint64 = 0x9E3779B97F4A7C15
-
-var fpInv = func() uint64 {
-	// Newton iteration doubles correct low bits each round; five rounds
-	// cover 64 bits starting from x ≡ B⁻¹ (mod 2³) for odd B.
-	x := fpBase
-	for i := 0; i < 5; i++ {
-		x *= 2 - fpBase*x
-	}
-	return x
-}()
 
 // instrFingerprint packs the fields Rule.Match compares unconditionally
 // at every position.
@@ -278,176 +190,4 @@ func seqFingerprint(w []arm.Instr) uint64 {
 		pow *= fpBase
 	}
 	return fp
-}
-
-// lookupKeyed is Lookup with the mean-of-opcodes key and sequence
-// fingerprint already computed (both O(1) via BlockScanner prefix sums).
-// It probes the fine candidate list whatever the store's Hierarchical
-// policy was (see the dense field comment for why the candidate sequence
-// — and hence which rule wins a tie — is identical to Store.lookup in
-// both modes). A window whose key falls outside the table dims cannot
-// match any installed rule.
-func (ix *Index) lookupKeyed(window []arm.Instr, mean int, fp uint64) (*Rule, *Binding, bool) {
-	l, op := len(window), int(window[0].Op)
-	if mean >= ix.meanDim || l > ix.lenDim || op >= ix.opDim {
-		return nil, nil, false
-	}
-	cell := ix.dense[(mean*ix.lenDim+l-1)*ix.opDim+op]
-	for gi := range cell {
-		if cell[gi].fp != fp {
-			continue
-		}
-		for _, r := range cell[gi].rules {
-			if b, ok := r.Match(window); ok {
-				return r, b, true
-			}
-		}
-	}
-	return nil, nil, false
-}
-
-// clampLens bounds the candidate window lengths at block position i: the
-// block remainder, the longest installed pattern, and (when exact) the
-// highest bit of the first-opcode length mask.
-func (ix *Index) clampLens(block []arm.Instr, i int) int {
-	maxLen := len(block) - i
-	if maxLen > ix.maxLen {
-		maxLen = ix.maxLen
-	}
-	if ix.maxLen <= 64 && maxLen > 0 {
-		if top := bits.Len64(ix.lenMask[block[i].Op]); maxLen > top {
-			maxLen = top // no rule for this first opcode is longer
-		}
-	}
-	return maxLen
-}
-
-// LongestMatch is Store.LongestMatch on the frozen snapshot: same scan
-// order, same results, no locks, and O(remaining window) total key
-// arithmetic per position instead of O(L²).
-func (ix *Index) LongestMatch(block []arm.Instr, i int) (*Rule, *Binding, int, bool) {
-	maxLen := ix.clampLens(block, i)
-	if maxLen < 1 {
-		return nil, nil, 0, false
-	}
-	sum := 0
-	fp, pow := uint64(0), uint64(1)
-	for k := i; k < i+maxLen; k++ {
-		sum += int(block[k].Op)
-		fp += instrFingerprint(block[k]) * pow
-		pow *= fpBase
-	}
-	for l := maxLen; l >= 1; l-- {
-		if ix.hasLen(block[i].Op, l) {
-			if r, b, ok := ix.lookupKeyed(block[i:i+l], sum/l, fp); ok {
-				return r, b, l, true
-			}
-		}
-		sum -= int(block[i+l-1].Op)
-		pow *= fpInv
-		fp -= instrFingerprint(block[i+l-1]) * pow
-	}
-	return nil, nil, 0, false
-}
-
-// ShortestMatch is Store.ShortestMatch on the frozen snapshot.
-func (ix *Index) ShortestMatch(block []arm.Instr, i int) (*Rule, *Binding, int, bool) {
-	maxLen := ix.clampLens(block, i)
-	sum := 0
-	fp, pow := uint64(0), uint64(1)
-	for l := 1; l <= maxLen; l++ {
-		sum += int(block[i+l-1].Op)
-		fp += instrFingerprint(block[i+l-1]) * pow
-		pow *= fpBase
-		if !ix.hasLen(block[i].Op, l) {
-			continue
-		}
-		if r, b, ok := ix.lookupKeyed(block[i:i+l], sum/l, fp); ok {
-			return r, b, l, true
-		}
-	}
-	return nil, nil, 0, false
-}
-
-// BlockScanner matches rule windows against one guest block with O(1)
-// mean-of-opcodes keys: Reset precomputes prefix sums of the opcodes, so
-// Match(i, l) never rescans the window. A scanner is cheap to Reset per
-// block and is not safe for concurrent use (the Index it wraps is).
-type BlockScanner struct {
-	ix    *Index
-	block []arm.Instr
-	pre   []int    // pre[k] = sum of block[:k] opcodes
-	fpre  []uint64 // fpre[k] = Σ_{j<k} instrFingerprint(block[j])·B^j
-	ipow  []uint64 // ipow[i] = B^-i; (fpre[i+l]-fpre[i])·ipow[i] keys window (i,l)
-}
-
-// NewBlockScanner returns a scanner over block backed by the snapshot.
-func (ix *Index) NewBlockScanner(block []arm.Instr) *BlockScanner {
-	sc := &BlockScanner{ix: ix}
-	sc.Reset(block)
-	return sc
-}
-
-// Reset points the scanner at a new block, reusing the prefix-sum
-// storage.
-func (sc *BlockScanner) Reset(block []arm.Instr) {
-	sc.block = block
-	if cap(sc.pre) < len(block)+1 {
-		sc.pre = make([]int, len(block)+1)
-		sc.fpre = make([]uint64, len(block)+1)
-		sc.ipow = make([]uint64, len(block)+1)
-	}
-	sc.pre = sc.pre[:len(block)+1]
-	sc.fpre = sc.fpre[:len(block)+1]
-	sc.ipow = sc.ipow[:len(block)+1]
-	sum := 0
-	fp, pow, inv := uint64(0), uint64(1), uint64(1)
-	sc.pre[0], sc.fpre[0], sc.ipow[0] = 0, 0, 1
-	for k, in := range block {
-		sum += int(in.Op)
-		fp += instrFingerprint(in) * pow
-		pow *= fpBase
-		inv *= fpInv
-		sc.pre[k+1], sc.fpre[k+1], sc.ipow[k+1] = sum, fp, inv
-	}
-}
-
-// MaxLen bounds the candidate window lengths at block position i (see
-// Index.clampLens). Window lengths above the returned value cannot match
-// any installed rule.
-func (sc *BlockScanner) MaxLen(i int) int { return sc.ix.clampLens(sc.block, i) }
-
-// Match probes the window of length l at position i, identically to
-// Store.Lookup on that window. The mean key is one subtraction; the
-// sequence fingerprint is one subtraction and one multiply.
-func (sc *BlockScanner) Match(i, l int) (*Rule, *Binding, bool) {
-	if l < 1 || i+l > len(sc.block) {
-		return nil, nil, false
-	}
-	if !sc.ix.hasLen(sc.block[i].Op, l) {
-		return nil, nil, false
-	}
-	return sc.ix.lookupKeyed(sc.block[i:i+l],
-		(sc.pre[i+l]-sc.pre[i])/l, (sc.fpre[i+l]-sc.fpre[i])*sc.ipow[i])
-}
-
-// LongestMatch is Store.LongestMatch at position i with O(1) keys.
-func (sc *BlockScanner) LongestMatch(i int) (*Rule, *Binding, int, bool) {
-	for l := sc.MaxLen(i); l >= 1; l-- {
-		if r, b, ok := sc.Match(i, l); ok {
-			return r, b, l, true
-		}
-	}
-	return nil, nil, 0, false
-}
-
-// ShortestMatch is Store.ShortestMatch at position i with O(1) keys.
-func (sc *BlockScanner) ShortestMatch(i int) (*Rule, *Binding, int, bool) {
-	maxLen := sc.MaxLen(i)
-	for l := 1; l <= maxLen; l++ {
-		if r, b, ok := sc.Match(i, l); ok {
-			return r, b, l, true
-		}
-	}
-	return nil, nil, 0, false
 }

@@ -66,7 +66,7 @@ func TestStoreMarshalRoundTrip(t *testing.T) {
 
 	// The reloaded rules must still match what the originals matched.
 	window := arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1")
-	if _, _, ok := reloaded.Lookup(window); !ok {
+	if _, _, ok := reloaded.Freeze().Lookup(window); !ok {
 		t.Error("reloaded store does not match the paper example window")
 	}
 }

@@ -186,20 +186,21 @@ func TestStoreLookupAndLongestMatch(t *testing.T) {
 	s.Add(single)
 
 	block := arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1; mov r2, r3")
-	r, b, l, ok := s.LongestMatch(block, 0)
-	if !ok {
+	ix := s.Freeze()
+	m := probe(ix.Lookup, ix.MaxLen(), block, 0, false)
+	if !m.ok {
 		t.Fatal("no match in block")
 	}
-	if r.ID != 1 || l != 2 {
-		t.Errorf("longest match chose rule %d len %d, want rule 1 len 2", r.ID, l)
+	if m.rule.ID != 1 || m.l != 2 {
+		t.Errorf("longest match chose rule %d len %d, want rule 1 len 2", m.rule.ID, m.l)
 	}
-	if b.Regs[0] != arm.R1 {
-		t.Errorf("binding %v", b.Regs)
+	if m.b.Regs[0] != arm.R1 {
+		t.Errorf("binding %v", m.b.Regs)
 	}
 	// Shortest-first ablation picks the single-instruction rule.
-	r, _, l, ok = s.ShortestMatch(block, 0)
-	if !ok || r.ID != 5 || l != 1 {
-		t.Errorf("shortest match chose rule %v len %d", r, l)
+	m = probe(ix.Lookup, ix.MaxLen(), block, 0, true)
+	if !m.ok || m.rule.ID != 5 || m.l != 1 {
+		t.Errorf("shortest match chose rule %v len %d", m.rule, m.l)
 	}
 }
 
@@ -220,7 +221,7 @@ func TestStoreDedupPrefersFewerHostInstrs(t *testing.T) {
 	if s.Count() != 1 {
 		t.Fatalf("Count = %d, want 1", s.Count())
 	}
-	r, _, ok := s.Lookup(arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1"))
+	r, _, ok := s.Freeze().Lookup(arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1"))
 	if !ok || r.ID != 11 {
 		t.Errorf("lookup returned rule %v", r)
 	}
@@ -311,27 +312,38 @@ func TestReadRulesErrors(t *testing.T) {
 	}
 }
 
+// TestHierarchicalLookup: §7's (mean, length, firstOp) buckets — the
+// oracle's fine mode and the frozen Index — find the exact window and
+// nothing else.
 func TestHierarchicalLookup(t *testing.T) {
 	s := NewStore()
 	s.Add(paperRule())
 	s.Add(orRule())
-	s.Hierarchical = true
-	r, b, ok := s.Lookup(arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1"))
-	if !ok || r.ID != 1 || b.Imms[0] != 1 {
-		t.Fatalf("hierarchical lookup failed: %v %v %v", r, b, ok)
+	ix := s.Freeze()
+	for name, lookup := range map[string]func([]arm.Instr) (*Rule, *Binding, bool){
+		"oracle": oracle{s: s, fine: true}.lookup,
+		"index":  ix.Lookup,
+	} {
+		r, b, ok := lookup(arm.MustParseSeq("add r1, r1, r0; sub r1, r1, #1"))
+		if !ok || r.ID != 1 || b.Imms[0] != 1 {
+			t.Fatalf("%s: hierarchical lookup failed: %v %v %v", name, r, b, ok)
+		}
+		if _, _, ok := lookup(arm.MustParseSeq("sub r1, r1, #1; add r1, r1, r0")); ok {
+			t.Errorf("%s: hierarchical lookup matched a reordered window", name)
+		}
+		if _, _, ok := lookup(nil); ok {
+			t.Errorf("%s: empty window must not match", name)
+		}
 	}
-	if _, _, ok := s.Lookup(arm.MustParseSeq("sub r1, r1, #1; add r1, r1, r0")); ok {
-		t.Error("hierarchical lookup matched a reordered window")
-	}
-	if _, _, ok := s.Lookup(nil); ok {
-		t.Error("empty window must not match")
-	}
-	// Dedup replacement keeps both indexes consistent.
+	// Dedup replacement keeps the buckets consistent.
 	better := paperRule()
 	better.ID = 99
 	s.Add(better) // same pattern & host length: rejected
 	if s.Count() != 2 {
 		t.Fatalf("Count = %d", s.Count())
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,101 +9,45 @@ import (
 )
 
 // CheckInvariants verifies the store's internal indexes agree with each
-// other: every rule lives in its mean key's shard, each shard's coarse
-// (byKey) and fine (byFine) buckets hold exactly the rules its byPattern
-// holds, per-shard and store-wide count/maxLen match reality, and no
-// bucket removal ever failed to find its rule (the Add replace path
-// records such failures instead of silently drifting). It is the
-// store-level companion of Rule.SelfTest: cheap enough to run in tests
-// after any mutation pattern that exercises replacement.
+// other: the fine (byFine) buckets hold exactly the rules byPattern holds,
+// each under its own key, maxLen matches reality, quarantined patterns
+// stay barred and uninstalled, and no bucket removal ever failed to find
+// its rule (the Add replace path records such failures instead of
+// silently drifting). It is the store-level companion of Rule.SelfTest:
+// cheap enough to run in tests after any mutation pattern that exercises
+// replacement.
 func (s *Store) CheckInvariants() error {
-	totalCount, totalMaxLen := 0, 0
-	for si := range s.shards {
-		sh := &s.shards[si]
-		if err := s.checkShard(si, sh); err != nil {
-			return err
-		}
-		sh.mu.RLock()
-		totalCount += sh.count
-		if sh.maxLen > totalMaxLen {
-			totalMaxLen = sh.maxLen
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.inconsistent > 0 {
+		return fmt.Errorf("rules: %d bucket removals missed their rule", s.inconsistent)
 	}
-	if got := int(s.count.Load()); got != totalCount {
-		return fmt.Errorf("rules: store count %d but shards hold %d", got, totalCount)
-	}
-	// The hint is a monotonic upper bound (never lowered on quarantine);
-	// it must never under-report, or the match scans would skip lengths
-	// that hold rules.
-	if hint := int(s.maxLenHint.Load()); hint < totalMaxLen {
-		return fmt.Errorf("rules: maxLen hint %d below longest installed pattern %d", hint, totalMaxLen)
-	}
-	return nil
-}
-
-// checkShard validates one shard's internal consistency under its read
-// lock, including membership: every rule's mean key must map to this
-// shard, or cross-shard lookups would miss it.
-func (s *Store) checkShard(si int, sh *shard) error {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.inconsistent > 0 {
-		return fmt.Errorf("rules: shard %d: %d bucket removals missed their rule", si, sh.inconsistent)
-	}
-	if got := len(sh.byPattern); got != sh.count {
-		return fmt.Errorf("rules: shard %d: count %d but %d patterns", si, sh.count, got)
-	}
-	coarse, fine, maxLen := 0, 0, 0
-	for key, bucket := range sh.byKey {
-		if s.shardFor(key) != sh {
-			return fmt.Errorf("rules: shard %d holds coarse bucket %d owned by shard %d",
-				si, key, key%len(s.shards))
-		}
-		for _, r := range bucket {
-			coarse++
-			if HashKey(r.Guest) != key {
-				return fmt.Errorf("rules: rule %d in coarse bucket %d, key %d",
-					r.ID, key, HashKey(r.Guest))
-			}
-			if sh.byPattern[patternKey(r.Guest)] != r {
-				return fmt.Errorf("rules: coarse bucket %d holds rule %d not in byPattern", key, r.ID)
-			}
-			if len(r.Guest) > maxLen {
-				maxLen = len(r.Guest)
-			}
-		}
-	}
-	for key, bucket := range sh.byFine {
-		if s.shardFor(key.mean) != sh {
-			return fmt.Errorf("rules: shard %d holds fine bucket %v owned by shard %d",
-				si, key, key.mean%len(s.shards))
-		}
+	fine, maxLen := 0, 0
+	for key, bucket := range s.byFine {
 		for _, r := range bucket {
 			fine++
 			if fineKeyOf(r.Guest) != key {
 				return fmt.Errorf("rules: rule %d in fine bucket %v, key %v",
 					r.ID, key, fineKeyOf(r.Guest))
 			}
-			if sh.byPattern[patternKey(r.Guest)] != r {
+			if s.byPattern[patternKey(r.Guest)] != r {
 				return fmt.Errorf("rules: fine bucket %v holds rule %d not in byPattern", key, r.ID)
 			}
+			maxLen = max(maxLen, len(r.Guest))
 		}
 	}
-	if coarse != sh.count || fine != sh.count {
-		return fmt.Errorf("rules: shard %d: count %d but %d coarse / %d fine entries",
-			si, sh.count, coarse, fine)
+	if fine != len(s.byPattern) {
+		return fmt.Errorf("rules: %d patterns but %d fine entries", len(s.byPattern), fine)
 	}
-	if sh.count > 0 && maxLen != sh.maxLen {
-		return fmt.Errorf("rules: shard %d: maxLen %d but longest installed pattern is %d",
-			si, sh.maxLen, maxLen)
+	if maxLen != s.maxLen {
+		return fmt.Errorf("rules: maxLen %d but longest installed pattern is %d", s.maxLen, maxLen)
 	}
-	for _, r := range sh.quarantined {
+	for _, r := range s.quarantined {
 		pk := patternKey(r.Guest)
-		if !sh.quarantinedPat[pk] {
+		if !s.quarantinedPat[pk] {
 			return fmt.Errorf("rules: quarantined rule %d lost its pattern bar", r.ID)
 		}
-		if sh.byPattern[pk] != nil {
+		if s.byPattern[pk] != nil {
 			return fmt.Errorf("rules: quarantined rule %d still installed", r.ID)
 		}
 	}

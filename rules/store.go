@@ -22,77 +22,20 @@ func HashKey(seq []arm.Instr) int {
 	return sum / len(seq)
 }
 
-// DefaultShards is the shard count NewStore uses. Sixteen shards cover
-// the data-processing opcode range (the dominant mean keys of learned
-// single-instruction rules land in 0..15), so concurrent learners
-// inserting a diverse rule mix rarely collide on a shard lock.
-const DefaultShards = 16
-
 // Store installs rules in the hash table keyed by HashKey, as the DBT does
 // at start-up (§4). Redundant rules (same guest pattern) keep only the
 // variant with the fewest host instructions (§6.1).
 //
-// The store is sharded by the coarse mean key: a guest pattern lives in
-// shard HashKey(pattern) % shards, each shard behind its own RWMutex with
-// its own mutation counter. Concurrent Adds from parallel learners only
-// contend when their patterns share a shard, and a Quarantine's write
-// blast radius — the version bump and the refreeze it forces — confines
-// to the shards that actually held the quarantined rule. All dedup and
-// replacement decisions are pattern-local, and a pattern's shard is a
-// pure function of its content, so the sharded store converges on exactly
-// the rule set a single-lock store would (see FuzzShardedStoreMatchesSingle).
+// The store is one RWMutex over its maps. Lookups go through the frozen
+// Index that Freeze builds and caches: translation never takes the lock,
+// and a refreeze of an unchanged store costs a version compare.
 //
-// A Store is safe for concurrent use. The PreferFirst and Hierarchical
-// policy fields are configuration — set them before sharing the store
-// across goroutines.
+// A Store is safe for concurrent use. The PreferFirst policy field is
+// configuration — set it before sharing the store across goroutines.
 type Store struct {
-	shards []shard
-	// version is the store-wide mutation counter: every shard mutation
-	// bumps it while holding that shard's write lock. Freeze reads it
-	// under all shard read locks, where no writer can be mid-mutation, so
-	// the stamped value is exact; lock-free readers (Version) see a
-	// monotonic counter whose movement means "something changed".
-	version atomic.Uint64
-	count   atomic.Int64
-	// maxLenHint is a monotonic upper bound on the longest installed
-	// pattern: raised by Add, never lowered by Quarantine (the match scans
-	// only use it to bound probe lengths, so an over-estimate costs a few
-	// dead probes after a quarantine, never a missed match). MaxLen()
-	// reports the exact value.
-	maxLenHint atomic.Int64
-	// PreferFirst keeps the first-learned rule for a guest pattern instead
-	// of the fewest-host-instructions one (ablation of the §6.1 redundant-
-	// rule selection policy).
-	PreferFirst bool
-	// Hierarchical switches Lookup to the fine-grained index (§7's
-	// "more efficient management scheme").
-	Hierarchical bool
-	// tel holds the telemetry handles installed by SetTelemetry (see
-	// telemetry.go); atomic so lookup/insert paths read it lock-free.
-	tel telAtomicPtr
-	// stitched caches the last fully stitched Index together with the
-	// per-shard snapshots it was built from. When a refreeze finds every
-	// shard snapshot unchanged (pointer-equal — snaps are immutable and
-	// replaced only when a shard's version moves), the whole stitch is
-	// skipped and the cached Index returned: a no-op refreeze is O(shards)
-	// pointer compares instead of a dense-table rebuild.
-	stitched atomic.Pointer[stitchedIndex]
-}
-
-// stitchedIndex pairs a stitched Index with the shard snapshots that fed
-// it, for the Freeze no-op fast path.
-type stitchedIndex struct {
-	snaps []*shardSnap
-	ix    *Index
-}
-
-// shard is one lock domain of the store. Every map is keyed by values
-// derived from the guest pattern, and a pattern's shard is decided by its
-// mean key, so a rule's whole lifecycle — insert, dedup, replacement,
-// quarantine — happens under one shard lock.
-type shard struct {
-	mu     sync.RWMutex
-	byKey  map[int][]*Rule
+	mu sync.RWMutex
+	// byFine holds the rules in Add order per (mean, length, firstOp) key,
+	// §7's hierarchical buckets; Freeze copies them into the Index.
 	byFine map[fineKey][]*Rule
 	// byPattern deduplicates on the canonical guest-pattern string.
 	byPattern map[string]*Rule
@@ -104,20 +47,25 @@ type shard struct {
 	quarantined    []*Rule
 	quarantinedPat map[string]bool
 	maxLen         int
-	count          int
-	// version counts this shard's mutations. Freeze caches a per-shard
-	// snapshot stamped with it, so a refreeze after a mutation rebuilds
-	// only the dirty shards' contributions.
-	version uint64
 	// inconsistent counts bucket removals that failed to find the rule
 	// being replaced — an internal invariant violation that would let
-	// count/maxLen drift and stale rules linger in lookup buckets. It is
-	// asserted zero by CheckInvariants.
+	// stale rules linger in lookup buckets. It is asserted zero by
+	// CheckInvariants.
 	inconsistent int
-	// snap caches the frozen view of this shard; valid while
-	// snap.version == version. Concurrent freezers may both rebuild and
-	// race the store — the snapshots are equivalent, last write wins.
-	snap atomic.Pointer[shardSnap]
+	// version counts mutations. It is written under mu and read lock-free
+	// by Version, so engines can check their snapshot's freshness without
+	// the lock.
+	version atomic.Uint64
+	// PreferFirst keeps the first-learned rule for a guest pattern instead
+	// of the fewest-host-instructions one (ablation of the §6.1 redundant-
+	// rule selection policy).
+	PreferFirst bool
+	// tel holds the telemetry handles installed by SetTelemetry (see
+	// telemetry.go); atomic so lookup/insert paths read it lock-free.
+	tel telAtomicPtr
+	// frozen caches the last Index Freeze built; it is current while its
+	// version equals the store's.
+	frozen atomic.Pointer[Index]
 }
 
 type fineKey struct {
@@ -126,42 +74,13 @@ type fineKey struct {
 	firstOp arm.Op
 }
 
-// NewStore returns an empty rule store with DefaultShards shards.
-func NewStore() *Store { return NewStoreShards(DefaultShards) }
-
-// NewStoreShards returns an empty rule store with the given shard count
-// (values below 1 are clamped to 1 — a single-lock store, the
-// pre-sharding behaviour and the differential/contention baseline).
-func NewStoreShards(n int) *Store {
-	if n < 1 {
-		n = 1
+// NewStore returns an empty rule store.
+func NewStore() *Store {
+	return &Store{
+		byFine:         map[fineKey][]*Rule{},
+		byPattern:      map[string]*Rule{},
+		quarantinedPat: map[string]bool{},
 	}
-	s := &Store{shards: make([]shard, n)}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.byKey = map[int][]*Rule{}
-		sh.byFine = map[fineKey][]*Rule{}
-		sh.byPattern = map[string]*Rule{}
-		sh.quarantinedPat = map[string]bool{}
-	}
-	return s
-}
-
-// Shards returns the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// shardFor maps a mean key to its owning shard.
-func (s *Store) shardFor(key int) *shard { return &s.shards[key%len(s.shards)] }
-
-// ShardVersion returns shard i's mutation counter. A quarantine bumps
-// only the shards that held the victim rule, so consumers tracking
-// per-shard versions (the refreeze snap cache, tests, the dist server's
-// diagnostics) can see that the blast radius was confined.
-func (s *Store) ShardVersion(i int) uint64 {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.version
 }
 
 func fineKeyOf(seq []arm.Instr) fineKey {
@@ -175,10 +94,8 @@ func patternKey(guest []arm.Instr) string { return arm.Seq(guest) }
 
 // Add installs a rule, returning false when an equal-or-better rule for
 // the same guest pattern already exists. Dedup-and-insert is atomic under
-// the pattern's shard lock, so concurrent learners racing on the same
-// guest pattern still converge on the §6.1 fewest-host-instructions
-// winner, while learners working on patterns in different shards do not
-// contend at all.
+// the store lock, so concurrent learners racing on the same guest pattern
+// still converge on the §6.1 fewest-host-instructions winner.
 func (s *Store) Add(r *Rule) bool {
 	// Latency is timed from before the lock so insert contention between
 	// parallel learners shows up in the rules_add_ns tail.
@@ -187,11 +104,9 @@ func (s *Store) Add(r *Rule) bool {
 	if tel != nil {
 		t0 = time.Now()
 	}
-	key := HashKey(r.Guest)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	added := s.addLocked(sh, key, r)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	added := s.addLocked(r)
+	s.mu.Unlock()
 	if tel != nil {
 		if added {
 			tel.adds.Inc()
@@ -199,104 +114,73 @@ func (s *Store) Add(r *Rule) bool {
 			tel.addRejects.Inc()
 		}
 		tel.addNS.ObserveSince(t0)
-		tel.telStoreState(s.version.Load(), int(s.count.Load()))
+		tel.telStoreState(s.version.Load(), s.Count())
 	}
 	return added
 }
 
-// AddAll installs a batch of rules with one lock acquisition per shard:
-// the batch is grouped by owning shard, then each shard's rules are
-// inserted in their input order under a single write-lock pass. The
-// per-rule dedup decisions, version bumps, and final store contents are
-// exactly what the same sequence of Add calls would produce — AddAll
-// only amortizes the lock traffic (and gives batch publishers like
-// learn.Options.publish and the rule miner added/rejected feedback that
-// one-at-a-time Add discards). The batch latency lands in rules_add_ns
-// as one observation per touched shard.
+// AddAll installs a batch of rules under one lock acquisition, in input
+// order. The per-rule dedup decisions, version bumps, and final store
+// contents are exactly what the same sequence of Add calls would produce
+// — AddAll only amortizes the lock traffic (and gives batch publishers
+// like learn.Options.publish and the rule miner added/rejected feedback
+// that one-at-a-time Add discards). The batch latency lands in
+// rules_add_ns as one observation.
 func (s *Store) AddAll(list []*Rule) (added, rejected int) {
 	if len(list) == 0 {
 		return 0, 0
 	}
 	tel := s.telArmed()
-	byShard := make([][]*Rule, len(s.shards))
-	for _, r := range list {
-		si := HashKey(r.Guest) % len(s.shards)
-		byShard[si] = append(byShard[si], r)
-	}
-	for si, batch := range byShard {
-		if len(batch) == 0 {
-			continue
-		}
-		var st0 time.Time
-		if tel != nil {
-			st0 = time.Now()
-		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for _, r := range batch {
-			if s.addLocked(sh, HashKey(r.Guest), r) {
-				added++
-			} else {
-				rejected++
-			}
-		}
-		sh.mu.Unlock()
-		if tel != nil {
-			tel.addNS.ObserveSince(st0)
-		}
-	}
+	var t0 time.Time
 	if tel != nil {
+		t0 = time.Now()
+	}
+	s.mu.Lock()
+	for _, r := range list {
+		if s.addLocked(r) {
+			added++
+		} else {
+			rejected++
+		}
+	}
+	s.mu.Unlock()
+	if tel != nil {
+		tel.addNS.ObserveSince(t0)
 		tel.adds.Add(uint64(added))
 		tel.addRejects.Add(uint64(rejected))
-		tel.telStoreState(s.version.Load(), int(s.count.Load()))
+		tel.telStoreState(s.version.Load(), s.Count())
 	}
 	return added, rejected
 }
 
-// addLocked is the body of Add under an already-held shard write lock;
-// key is HashKey(r.Guest) (which selected sh). It reports whether the
-// rule was installed.
-func (s *Store) addLocked(sh *shard, key int, r *Rule) bool {
+// addLocked is the body of Add under the held write lock. It reports
+// whether the rule was installed.
+func (s *Store) addLocked(r *Rule) bool {
 	pk := patternKey(r.Guest)
-	if sh.quarantinedPat[pk] {
+	if s.quarantinedPat[pk] {
 		// The pattern was quarantined after a contained runtime fault;
 		// refusing reinstallation keeps the bad rule out even if it is
 		// re-learned or re-read from a file.
 		return false
 	}
-	if prev, ok := sh.byPattern[pk]; ok {
+	if prev, ok := s.byPattern[pk]; ok {
 		if s.PreferFirst || len(prev.Host) <= len(r.Host) {
 			return false
 		}
-		// Replace: drop prev from its buckets. A missing bucket entry
-		// means the indexes disagree with byPattern; record it so the
+		// Replace: drop prev from its bucket. A missing bucket entry
+		// means the buckets disagree with byPattern; record it so the
 		// selftest (CheckInvariants) reports the drift instead of letting
-		// count silently diverge and a stale rule keep winning lookups.
-		if !removeRule(sh.byKey, HashKey(prev.Guest), prev) {
-			sh.inconsistent++
+		// a stale rule keep winning lookups.
+		if !removeRule(s.byFine, fineKeyOf(prev.Guest), prev) {
+			s.inconsistent++
 		}
-		if !removeRule(sh.byFine, fineKeyOf(prev.Guest), prev) {
-			sh.inconsistent++
-		}
-		sh.count--
-		s.count.Add(-1)
 	}
-	sh.byPattern[pk] = r
-	sh.byKey[key] = append(sh.byKey[key], r)
+	s.byPattern[pk] = r
 	fk := fineKeyOf(r.Guest)
-	sh.byFine[fk] = append(sh.byFine[fk], r)
-	if len(r.Guest) > sh.maxLen {
-		sh.maxLen = len(r.Guest)
+	s.byFine[fk] = append(s.byFine[fk], r)
+	if len(r.Guest) > s.maxLen {
+		s.maxLen = len(r.Guest)
 	}
-	for {
-		hint := s.maxLenHint.Load()
-		if int64(len(r.Guest)) <= hint || s.maxLenHint.CompareAndSwap(hint, int64(len(r.Guest))) {
-			break
-		}
-	}
-	sh.count++
-	sh.version++
-	s.count.Add(1)
 	s.version.Add(1)
 	return true
 }
@@ -320,32 +204,26 @@ func removeRule[K comparable](m map[K][]*Rule, key K, r *Rule) bool {
 	return false
 }
 
-// Quarantine removes every installed rule carrying the given ID from all
+// Quarantine removes every installed rule carrying the given ID from the
 // lookup structures (IDs are unique per learner, so this is normally one
-// rule). Quarantined rules stop matching immediately on the locked paths,
-// are excluded from subsequent Freeze() snapshots (the version bump makes
-// engines holding an old snapshot refreeze), and their guest patterns are
-// barred from reinstallation by Add. Only the shards that actually held a
-// victim are written: their versions bump and their cached freeze
-// snapshots invalidate, while untouched shards keep serving their cached
-// snapshots through the next Freeze. It returns the number of rules
-// quarantined; calling it again with the same ID is a no-op.
+// rule). Quarantined rules are excluded from subsequent Freeze()
+// snapshots (the version bump makes engines holding an old snapshot
+// refreeze), and their guest patterns are barred from reinstallation by
+// Add. It returns the number of rules quarantined; calling it again with
+// the same ID is a no-op.
 func (s *Store) Quarantine(id int) int {
 	tel := s.telArmed()
 	var t0 time.Time
 	if tel != nil {
 		t0 = time.Now()
 	}
-	total := 0
-	for i := range s.shards {
-		total += s.quarantineShard(&s.shards[i], id)
-	}
+	total := s.pull(id, true)
 	if tel != nil {
 		if total > 0 {
 			tel.quarantines.Add(uint64(total))
 		}
 		tel.quarantineNS.ObserveSince(t0)
-		tel.telStoreState(s.version.Load(), int(s.count.Load()))
+		tel.telStoreState(s.version.Load(), s.Count())
 	}
 	return total
 }
@@ -354,73 +232,44 @@ func (s *Store) Quarantine(id int) int {
 // lookup structures without barring its guest pattern: unlike
 // Quarantine, the rule was not judged faulty — it just isn't wanted any
 // more (the miner's eviction loop sheds mined rules that never fire this
-// way), so an equivalent rule may be re-Added later. Only the shards
-// that held a victim bump their versions. Returns the number of rules
-// removed.
-func (s *Store) Remove(id int) int {
-	total := 0
-	for i := range s.shards {
-		total += s.pullShard(&s.shards[i], id, false)
-	}
-	return total
-}
+// way), so an equivalent rule may be re-Added later. Returns the number
+// of rules removed.
+func (s *Store) Remove(id int) int { return s.pull(id, false) }
 
-// quarantineShard pulls the ID's rules from one shard; it takes (and
-// releases) that shard's write lock and bumps its version only on a hit.
-func (s *Store) quarantineShard(sh *shard, id int) int {
-	return s.pullShard(sh, id, true)
-}
-
-// pullShard removes the ID's rules from one shard's lookup structures.
-// With quarantine set the victims also land in the quarantined list and
-// their patterns are barred from reinstallation; without it the removal
-// is clean (Remove).
-func (s *Store) pullShard(sh *shard, id int, quarantine bool) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	type victim struct {
-		pk string
-		r  *Rule
-	}
-	var hits []victim
-	for pk, r := range sh.byPattern {
+// pull removes the ID's rules from the lookup structures, bumping the
+// version only on a hit. With quarantine set the victims also land in
+// the quarantined list and their patterns are barred from
+// reinstallation; without it the removal is clean (Remove). It returns
+// the number of rules pulled.
+func (s *Store) pull(id int, quarantine bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var hits []string
+	for pk, r := range s.byPattern {
 		if r.ID == id {
-			hits = append(hits, victim{pk, r})
+			hits = append(hits, pk)
 		}
 	}
 	if len(hits) == 0 {
 		return 0
 	}
-	// Canonical victim order: byPattern iteration is randomized, but the
-	// quarantined list is externally visible (Quarantined), so sort.
-	sort.Slice(hits, func(i, j int) bool { return hits[i].pk < hits[j].pk })
-	for _, v := range hits {
-		if !removeRule(sh.byKey, HashKey(v.r.Guest), v.r) {
-			sh.inconsistent++
+	for _, pk := range hits {
+		r := s.byPattern[pk]
+		if !removeRule(s.byFine, fineKeyOf(r.Guest), r) {
+			s.inconsistent++
 		}
-		if !removeRule(sh.byFine, fineKeyOf(v.r.Guest), v.r) {
-			sh.inconsistent++
-		}
-		delete(sh.byPattern, v.pk)
+		delete(s.byPattern, pk)
 		if quarantine {
-			sh.quarantinedPat[v.pk] = true
-			sh.quarantined = append(sh.quarantined, v.r)
-		}
-		sh.count--
-		s.count.Add(-1)
-	}
-	// Removal can lower the longest installed pattern in this shard;
-	// recompute so Freeze's exact maxLen stays right. (The store-wide
-	// maxLenHint is deliberately left alone — see its comment.)
-	sh.maxLen = 0
-	for _, bucket := range sh.byKey {
-		for _, r := range bucket {
-			if len(r.Guest) > sh.maxLen {
-				sh.maxLen = len(r.Guest)
-			}
+			s.quarantinedPat[pk] = true
+			s.quarantined = append(s.quarantined, r)
 		}
 	}
-	sh.version++
+	// Removal can lower the longest installed pattern; recompute so
+	// MaxLen and Freeze stay exact.
+	s.maxLen = 0
+	for _, r := range s.byPattern {
+		s.maxLen = max(s.maxLen, len(r.Guest))
+	}
 	s.version.Add(1)
 	return len(hits)
 }
@@ -428,66 +277,43 @@ func (s *Store) pullShard(sh *shard, id int, quarantine bool) int {
 // Quarantined returns the quarantined rules in canonical (All-style)
 // order.
 func (s *Store) Quarantined() []*Rule {
-	var out []*Rule
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		out = append(out, sh.quarantined...)
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		if a.Source != b.Source {
-			return a.Source < b.Source
-		}
-		return patternKey(a.Guest) < patternKey(b.Guest)
-	})
+	s.mu.RLock()
+	out := append([]*Rule(nil), s.quarantined...)
+	s.mu.RUnlock()
+	sortCanonical(out)
 	return out
 }
 
 // IsQuarantined reports whether any rule with the given ID has been
 // quarantined.
 func (s *Store) IsQuarantined(id int) bool {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.quarantined {
-			if r.ID == id {
-				sh.mu.RUnlock()
-				return true
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, r := range s.quarantined {
+		if r.ID == id {
+			return true
 		}
-		sh.mu.RUnlock()
 	}
 	return false
 }
 
-// Version returns the store-wide mutation counter. An Index whose
-// Version() equals the store's is a faithful snapshot; a mismatch means
-// rules were added, replaced, or quarantined after the freeze. The
-// counter is a sum of per-shard mutation counts, so its value is only
-// comparable between a store and its own snapshots — not across stores
-// with different shard counts.
+// Version returns the store's mutation counter. An Index whose Version()
+// equals the store's is a faithful snapshot; a mismatch means rules were
+// added, replaced, or quarantined after the freeze.
 func (s *Store) Version() uint64 { return s.version.Load() }
 
 // Count returns the number of installed rules.
-func (s *Store) Count() int { return int(s.count.Load()) }
+func (s *Store) Count() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.byPattern)
+}
 
 // MaxLen returns the longest guest pattern installed.
 func (s *Store) MaxLen() int {
-	maxLen := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		if sh.maxLen > maxLen {
-			maxLen = sh.maxLen
-		}
-		sh.mu.RUnlock()
-	}
-	return maxLen
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.maxLen
 }
 
 // All returns the rules in a canonical order: by ID, with ties (IDs are
@@ -497,17 +323,20 @@ func (s *Store) MaxLen() int {
 // in — the determinism contract behind `rulelearn -jobs` and the
 // byte-identical wire snapshots rules/dist serves.
 func (s *Store) All() []*Rule {
-	out := make([]*Rule, 0, s.Count())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, bucket := range sh.byKey {
-			out = append(out, bucket...)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	out := make([]*Rule, 0, len(s.byPattern))
+	for _, r := range s.byPattern {
+		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	s.mu.RUnlock()
+	sortCanonical(out)
+	return out
+}
+
+// sortCanonical sorts rules into All's total order.
+func sortCanonical(rs []*Rule) {
+	sort.Slice(rs, func(i, j int) bool {
+		a, b := rs[i], rs[j]
 		if a.ID != b.ID {
 			return a.ID < b.ID
 		}
@@ -516,71 +345,4 @@ func (s *Store) All() []*Rule {
 		}
 		return patternKey(a.Guest) < patternKey(b.Guest)
 	})
-	return out
-}
-
-// Lookup finds a rule matching the exact window (same length), trying the
-// bucket selected by the mean-of-opcodes key (or the hierarchical index
-// when enabled). Only the window's own shard is locked.
-func (s *Store) Lookup(window []arm.Instr) (*Rule, *Binding, bool) {
-	if len(window) == 0 {
-		return nil, nil, false
-	}
-	key := HashKey(window)
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return s.lookupShard(sh, window, key)
-}
-
-// lookupShard is Lookup inside one shard; callers hold sh.mu and pass the
-// window's precomputed mean key (which selected the shard).
-func (s *Store) lookupShard(sh *shard, window []arm.Instr, key int) (*Rule, *Binding, bool) {
-	if s.Hierarchical {
-		for _, r := range sh.byFine[fineKeyOf(window)] {
-			if b, ok := r.Match(window); ok {
-				return r, b, true
-			}
-		}
-		return nil, nil, false
-	}
-	for _, r := range sh.byKey[key] {
-		if len(r.Guest) != len(window) {
-			continue
-		}
-		if b, ok := r.Match(window); ok {
-			return r, b, true
-		}
-	}
-	return nil, nil, false
-}
-
-// LongestMatch implements §4's application scan: the longest contiguous
-// window starting at position i of block that matches any rule. shortest
-// window length is 1. Returns the match and its length, or ok=false.
-func (s *Store) LongestMatch(block []arm.Instr, i int) (*Rule, *Binding, int, bool) {
-	maxLen := len(block) - i
-	if hint := int(s.maxLenHint.Load()); maxLen > hint {
-		maxLen = hint
-	}
-	for l := maxLen; l >= 1; l-- {
-		if r, b, ok := s.Lookup(block[i : i+l]); ok {
-			return r, b, l, true
-		}
-	}
-	return nil, nil, 0, false
-}
-
-// ShortestMatch is the ablation variant that prefers 1-instruction rules.
-func (s *Store) ShortestMatch(block []arm.Instr, i int) (*Rule, *Binding, int, bool) {
-	maxLen := len(block) - i
-	if hint := int(s.maxLenHint.Load()); maxLen > hint {
-		maxLen = hint
-	}
-	for l := 1; l <= maxLen; l++ {
-		if r, b, ok := s.Lookup(block[i : i+l]); ok {
-			return r, b, l, true
-		}
-	}
-	return nil, nil, 0, false
 }

@@ -42,8 +42,7 @@ func TestStoreConcurrentAddLookup(t *testing.T) {
 				s.Add(immRule(w*patterns+n+1, n))
 				if w%2 == 0 {
 					window := []arm.Instr{arm.MustParse(fmt.Sprintf("mov r5, #%d", n))}
-					s.Lookup(window)
-					s.LongestMatch(window, 0)
+					s.Freeze().Lookup(window)
 					_ = s.Count()
 					_ = s.MaxLen()
 				}
@@ -51,7 +50,7 @@ func TestStoreConcurrentAddLookup(t *testing.T) {
 					// Snapshots race with inserts: Freeze must see a
 					// consistent store and stay usable afterwards.
 					ix := s.Freeze()
-					ix.LongestMatch([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r5, #%d", n))}, 0)
+					probe(ix.Lookup, ix.MaxLen(), []arm.Instr{arm.MustParse(fmt.Sprintf("mov r5, #%d", n))}, 0, false)
 				}
 			}
 		}(w)
@@ -66,8 +65,9 @@ func TestStoreConcurrentAddLookup(t *testing.T) {
 	if got := len(s.All()); got != patterns {
 		t.Fatalf("All() returned %d rules, want %d", got, patterns)
 	}
+	ix := s.Freeze()
 	for n := 0; n < patterns; n++ {
-		if _, _, ok := s.Lookup([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r3, #%d", n))}); !ok {
+		if _, _, ok := ix.Lookup([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r3, #%d", n))}); !ok {
 			t.Fatalf("pattern %d missing after concurrent insert", n)
 		}
 	}
@@ -119,8 +119,9 @@ func TestStoreConcurrentReplace(t *testing.T) {
 	if got := s.Count(); got != patterns {
 		t.Fatalf("store has %d rules, want %d", got, patterns)
 	}
+	ix := s.Freeze()
 	for n := 0; n < patterns; n++ {
-		r, _, ok := s.Lookup([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r1, #%d", n))})
+		r, _, ok := ix.Lookup([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r1, #%d", n))})
 		if !ok {
 			t.Fatalf("pattern %d missing", n)
 		}
@@ -130,19 +131,12 @@ func TestStoreConcurrentReplace(t *testing.T) {
 			t.Fatalf("pattern %d: winner has %d host instrs, want 1", n, len(r.Host))
 		}
 	}
-	// The survivors must also be what a frozen snapshot serves.
-	ix := s.Freeze()
-	for n := 0; n < patterns; n++ {
-		r, _, ok := ix.Lookup([]arm.Instr{arm.MustParse(fmt.Sprintf("mov r8, #%d", n))})
-		if !ok || len(r.Host) != 1 {
-			t.Fatalf("snapshot pattern %d: ok=%v hostLen=%d", n, ok, len(r.Host))
-		}
-	}
 }
 
 // TestStoreQuarantine covers the quarantine lifecycle on one goroutine:
-// removal from every lookup path, the Add bar on the quarantined pattern,
-// the version bump that forces engines to refreeze, and idempotence.
+// removal from fresh snapshots (older ones are immutable), the Add bar on
+// the quarantined pattern, the version bump that forces engines to
+// refreeze, and idempotence.
 func TestStoreQuarantine(t *testing.T) {
 	s := NewStore()
 	for n := 0; n < 8; n++ {
@@ -150,7 +144,8 @@ func TestStoreQuarantine(t *testing.T) {
 	}
 	v0 := s.Version()
 	window := []arm.Instr{arm.MustParse("mov r2, #3")}
-	if _, _, ok := s.Lookup(window); !ok {
+	before := s.Freeze()
+	if _, _, ok := before.Lookup(window); !ok {
 		t.Fatal("victim pattern not installed")
 	}
 	if got := s.Quarantine(4); got != 1 {
@@ -159,11 +154,11 @@ func TestStoreQuarantine(t *testing.T) {
 	if s.Version() == v0 {
 		t.Error("quarantine did not bump the store version")
 	}
-	if _, _, ok := s.Lookup(window); ok {
-		t.Error("quarantined rule still matches via Lookup")
-	}
 	if _, _, ok := s.Freeze().Lookup(window); ok {
 		t.Error("quarantined rule still matches via a fresh snapshot")
+	}
+	if _, _, ok := before.Lookup(window); !ok {
+		t.Error("quarantine reached into a snapshot frozen before it")
 	}
 	if s.Count() != 7 {
 		t.Errorf("count %d after quarantine, want 7", s.Count())
@@ -216,8 +211,8 @@ func TestStoreConcurrentQuarantineFreeze(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				ix := s.Freeze()
 				window := []arm.Instr{arm.MustParse(fmt.Sprintf("mov r4, #%d", i%patterns))}
-				ix.LongestMatch(window, 0)
-				s.Lookup(window)
+				probe(ix.Lookup, ix.MaxLen(), window, 0, false)
+				_ = s.MaxLen()
 				_ = s.Quarantined()
 				_ = s.IsQuarantined(i % patterns)
 			}

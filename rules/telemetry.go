@@ -8,8 +8,8 @@ import (
 
 // storeTel holds a store's pre-resolved metric handles. The latency
 // histograms time Add, Quarantine, and Freeze from call entry — lock
-// wait included — so per-store contention (the ROADMAP's sharded-store
-// concern) is directly visible as a widening tail.
+// wait included — so store lock contention is directly visible as a
+// widening tail.
 type storeTel struct {
 	reg *telemetry.Registry
 
@@ -17,7 +17,7 @@ type storeTel struct {
 	addRejects   *telemetry.Counter // Add calls refused (dedup loss or quarantine bar)
 	quarantines  *telemetry.Counter // rules pulled by Quarantine
 	freezes      *telemetry.Counter // Freeze snapshots taken
-	freezeReuses *telemetry.Counter // Freeze calls served by the stitched-index cache
+	freezeReuses *telemetry.Counter // Freeze calls served by the cached Index
 
 	addNS        *telemetry.Histogram
 	quarantineNS *telemetry.Histogram
@@ -61,7 +61,6 @@ func (s *Store) telArmed() *storeTel {
 }
 
 // telStoreState publishes the post-mutation version and count gauges.
-// Callers hold s.mu.
 func (t *storeTel) telStoreState(version uint64, count int) {
 	if t == nil {
 		return
