@@ -87,11 +87,10 @@ func BenchmarkLongestMatch(b *testing.B) {
 // and the exec loop under each execution tier. One op = one full mcf
 // test-workload emulation. The bare qemu/rules variants run the default
 // auto tier (comparable to earlier BENCH_*.json entries, which predate
-// tiering and measured the pure switch loop); the -interp, -threaded, and
-// -native variants pin the tier. The threaded/interp ratio is the
-// token-threading win and the native/threaded ratio the machine-code win
-// the ci.sh tiers stage gates on (the -native variants degrade to
-// threaded on hosts without the back end).
+// tiering and measured the pure switch loop); the -interp and -native
+// variants pin the tier. The native/interp ratio is the machine-code win
+// the ci.sh tiers stage gates on (the -native variants run the
+// interpreter on hosts without the back end).
 func BenchmarkDispatch(b *testing.B) {
 	mcf, _ := corpus.ByName("mcf")
 	g, _, err := CompilePair(mcf, codegen.StyleLLVM, 2)
@@ -122,9 +121,7 @@ func BenchmarkDispatch(b *testing.B) {
 	b.Run("qemu", func(b *testing.B) { run(b, dbt.BackendQEMU, nil, dbt.TierAuto) })
 	b.Run("rules", func(b *testing.B) { run(b, dbt.BackendRules, mcfRules(b), dbt.TierAuto) })
 	b.Run("qemu-interp", func(b *testing.B) { run(b, dbt.BackendQEMU, nil, dbt.TierInterp) })
-	b.Run("qemu-threaded", func(b *testing.B) { run(b, dbt.BackendQEMU, nil, dbt.TierThreaded) })
 	b.Run("rules-interp", func(b *testing.B) { run(b, dbt.BackendRules, mcfRules(b), dbt.TierInterp) })
-	b.Run("rules-threaded", func(b *testing.B) { run(b, dbt.BackendRules, mcfRules(b), dbt.TierThreaded) })
 	b.Run("qemu-native", func(b *testing.B) { run(b, dbt.BackendQEMU, nil, dbt.TierNative) })
 	b.Run("rules-native", func(b *testing.B) { run(b, dbt.BackendRules, mcfRules(b), dbt.TierNative) })
 }

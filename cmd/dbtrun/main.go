@@ -5,14 +5,13 @@
 //
 //	dbtrun -bench mcf [-backend qemu|rules|jit] [-rules rules.txt | -rules-url URL]
 //	       [-rules-watch] [-workload test|ref] [-style llvm|gcc]
-//	       [-tier interp|threaded|native|auto] [-faults SPEC] [-json]
+//	       [-tier interp|native|auto] [-faults SPEC] [-json]
 //	       [-metrics-addr HOST:PORT] [-metrics-linger D]
 //
 // -tier selects the execution tier: interp pins every block to the switch
-// interpreter, threaded pre-binds every block into operation thunks,
-// native compiles every block to host machine code (amd64 hosts;
-// elsewhere it degrades to threaded), and auto (the default) interprets
-// cold blocks and promotes hot ones up the ladder. The modeled counters
+// interpreter, native compiles every block to host machine code (amd64
+// hosts; elsewhere every block is interpreted), and auto (the default)
+// interprets cold blocks and compiles hot ones. The modeled counters
 // are identical under every tier — the report's "tiers" line (and the
 // tier/tiers JSON fields) shows the per-tier dispatch split and
 // promotion counts.
@@ -94,7 +93,7 @@ func run() int {
 	rulesRetries := flag.Int("rules-retries", 3, "initial -rules-url fetch attempts before falling back")
 	workload := flag.String("workload", "test", "test|ref")
 	styleName := flag.String("style", "llvm", "guest compiler style (llvm|gcc)")
-	tierName := flag.String("tier", "auto", "execution tier: interp|threaded|native|auto")
+	tierName := flag.String("tier", "auto", "execution tier: interp|native|auto")
 	faults := flag.String("faults", "", "arm fault-injection points: name[@N|@every][,...]")
 	jsonOut := flag.Bool("json", false, "emit one dbt.RunStats JSON line instead of the text report")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /snapshot.json and pprof on this address (empty = telemetry off)")
@@ -345,9 +344,8 @@ func report(e *dbt.Engine, benchName string, backend dbt.Backend, workload strin
 	fmt.Printf("result         %d\n", int32(ret))
 	fmt.Print(st.String())
 	ts := &e.TierStats
-	fmt.Printf("tiers          %s: %d interp + %d threaded + %d native dispatches, %d+%d promotions, %d+%d demotions\n",
-		e.Tier, ts.InterpDispatches, ts.ThreadedDispatches, ts.NativeDispatches,
-		ts.Promotions, ts.NativePromotions, ts.Demotions, ts.NativeDemotions)
+	fmt.Printf("tiers          %s: %d interp + %d native dispatches, %d promotions, %d demotions\n",
+		e.Tier, ts.InterpDispatches, ts.NativeDispatches, ts.NativePromotions, ts.NativeDemotions)
 	if ts.NativeBailouts > 0 {
 		fmt.Printf("native bails   %d\n", ts.NativeBailouts)
 	}

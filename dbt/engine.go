@@ -67,23 +67,17 @@ type TB struct {
 	// ruleIDs lists the learned rules that contributed host code, so an
 	// execution fault in this block can quarantine them.
 	ruleIDs []int
-	// thunks is the threaded-tier form of Host: one pre-bound closure per
-	// host instruction, compiled on promotion (see tier.go). nil while the
-	// block runs on the switch interpreter; dropped with the block on any
-	// cache eviction, which is what demotion means here.
-	thunks []x86.Thunk
-	// noThread pins the block to the interpreter after a thunk build
-	// failure, so promotion is attempted at most once.
-	noThread bool
 	// native is the native-tier form of Host: emitted amd64 machine code
 	// placed in the engine's executable buffer, entered at nativeEntry
 	// (see tier.go and x86/native). nativeGen is the buffer generation the
 	// code was placed under — a mismatch at dispatch means the buffer was
-	// reset (rule hot-swap flush) and the entry pointer is dead.
+	// reset (rule hot-swap flush) and the entry pointer is dead. nil
+	// while the block runs on the switch interpreter; dropped with the
+	// block on any cache eviction, which is what demotion means here.
 	native      *native.Code
 	nativeEntry uintptr
 	nativeGen   uint64
-	// noNative pins the block off the native tier after a compile or
+	// noNative pins the block to the interpreter after a compile or
 	// placement failure, so native promotion is attempted at most once.
 	noNative bool
 }
@@ -161,19 +155,13 @@ type Engine struct {
 	DisableChaining bool
 
 	// Tier selects the execution tier (see tier.go). The zero value is
-	// TierAuto: interpret cold blocks, promote hot ones to pre-bound
-	// thunks. The deterministic cycle model is identical under every
-	// tier; only wall-clock speed and TierStats differ.
+	// TierAuto: interpret cold blocks, compile hot ones to machine code.
+	// The deterministic cycle model is identical under every tier; only
+	// wall-clock speed and TierStats differ.
 	Tier Tier
-	// PromoteThreshold overrides DefaultPromoteThreshold when positive:
-	// the ExecCount at which TierAuto promotes a block.
-	PromoteThreshold int
-	// NativeThreshold overrides DefaultNativePromoteThreshold when
-	// positive: the ExecCount at which TierAuto lifts a block to native.
-	NativeThreshold int
 	// JITLimit caps the native tier's executable code buffer in bytes
-	// (0 = unlimited). A block that no longer fits is shed to the
-	// threaded tier (TierStats.NativeBufferFails) instead of erroring —
+	// (0 = unlimited). A block that no longer fits stays on the
+	// interpreter (TierStats.NativeBufferFails) instead of erroring —
 	// the knob an operator uses to bound per-engine code memory on a
 	// dense fleet. Takes effect when the buffer is first created, i.e.
 	// set it before the first native promotion.
@@ -437,19 +425,17 @@ func (e *Engine) exec(tb *TB) {
 	}
 	e.lastTB = tb
 	e.st.R[x86.ESP] = HostStackTop
-	// Tier split. The three loops are cycle-model-identical: each charges
-	// HostCosts[pc] and one HostInstr per step, and both the thunks and
-	// the emitted machine code reproduce Step's semantics exactly (pinned
-	// by FuzzThreadedMatchesStep, FuzzNativeMatchesStep, and the
-	// cross-tier golden differential). The faster loops accumulate into
-	// locals — uint64 addition is associative, so the sums are bit-equal.
+	// Tier split. The two loops are cycle-model-identical: each charges
+	// HostCosts[pc] and one HostInstr per host instruction, and the
+	// emitted machine code reproduces Step's semantics exactly (pinned by
+	// FuzzNativeMatchesStep and the cross-tier golden differential).
 	//
 	// Native selection: a block runs natively only while its code's
 	// buffer generation is current; a reset buffer (rule hot-swap flush)
 	// makes the entry pointer dead, so the stale code is shed here as the
 	// backstop (the flush itself already drops every cached block).
 	useNative := false
-	if e.Tier == TierNative || e.Tier == TierAuto {
+	if e.Tier != TierInterp {
 		if tb.native != nil {
 			if tb.nativeGen == e.jit.Gen() {
 				useNative = true
@@ -464,34 +450,11 @@ func (e *Engine) exec(tb *TB) {
 			useNative = tb.native != nil
 		}
 	}
-	threaded := !useNative && tb.thunks != nil && e.Tier != TierInterp
-	if !useNative && tb.thunks == nil && !tb.noThread &&
-		(e.Tier == TierThreaded || e.Tier == TierNative) {
-		// TierThreaded builds thunks eagerly; TierNative does too when the
-		// native build was rejected, so its fallback ladder is
-		// native → threaded → interp rather than dropping straight to the
-		// switch loop.
-		e.promote(tb)
-		threaded = tb.thunks != nil
-	}
 	execTier := TierInterp
 	if useNative {
 		e.execNative(tb)
 		e.TierStats.NativeDispatches++
 		execTier = TierNative
-	} else if threaded {
-		thunks, costs, st := tb.thunks, tb.HostCosts, e.st
-		var cycles, instrs uint64
-		pc := 0
-		for pc >= 0 && pc < len(thunks) {
-			cycles += costs[pc]
-			instrs++
-			pc = thunks[pc](st)
-		}
-		e.Stats.ExecCycles += cycles
-		e.Stats.HostInstrs += instrs
-		e.TierStats.ThreadedDispatches++
-		execTier = TierThreaded
 	} else {
 		pc := 0
 		for pc >= 0 && pc < len(tb.Host) {
@@ -502,13 +465,8 @@ func (e *Engine) exec(tb *TB) {
 		e.TierStats.InterpDispatches++
 	}
 	tb.ExecCount++
-	if e.Tier == TierAuto {
-		if tb.thunks == nil && !tb.noThread && tb.ExecCount >= e.promoteAt() {
-			e.promote(tb)
-		}
-		if tb.native == nil && !tb.noNative && tb.ExecCount >= e.nativeAt() {
-			e.promoteNative(tb)
-		}
+	if e.Tier == TierAuto && tb.native == nil && !tb.noNative && tb.ExecCount >= promoteThreshold {
+		e.promoteNative(tb)
 	}
 	e.Stats.DispatchCount++
 	e.Stats.GuestInstrs += uint64(tb.GuestLen)
@@ -678,10 +636,10 @@ func (e *Engine) translate(gpc int) (*TB, error) {
 		tb.Host = optimizeHost(tb.Host)
 	}
 	// Operand validation moved here from the Step hot switch: host code
-	// with shapes the interpreter (or a thunk) has no semantics for is a
-	// containable fault at translate time, before any of it executes. A
-	// single contributing rule gets the attribution (so containment
-	// quarantines it); otherwise the entry is pinned to TCG on retry.
+	// with shapes the interpreter has no semantics for is a containable
+	// fault at translate time, before any of it executes. A single
+	// contributing rule gets the attribution (so containment quarantines
+	// it); otherwise the entry is pinned to TCG on retry.
 	if cerr := x86.CheckCode(tb.Host); cerr != nil {
 		ruleID := -1
 		if len(tb.ruleIDs) == 1 {

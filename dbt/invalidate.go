@@ -38,7 +38,7 @@ func (e *Engine) Invalidate(gpc, n int) int {
 			continue
 		}
 		if entry < hi && entry+tb.GuestLen > lo {
-			e.noteDropped(tb) // invalidation demotes: thunks die with the block
+			e.noteDropped(tb) // invalidation demotes: native code dies with the block
 			e.tbs[entry] = nil
 			e.tbCount--
 			e.Stats.InvalidatedTBs++

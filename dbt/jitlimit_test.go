@@ -9,13 +9,13 @@ import (
 	"dbtrules/internal/telemetry"
 )
 
-// TestNativeBufferFullDemotesToThreaded pins the buffer-exhaustion
+// TestNativeBufferFullFallsBackToInterp pins the buffer-exhaustion
 // contract: when the executable code buffer cannot place a compiled
-// block (JITLimit here; a failed mmap takes the same path), the
-// promotion demotes to the threaded tier and is counted — in TierStats
+// block (JITLimit here; a failed mmap takes the same path), the block
+// stays on the interpreter and the failure is counted — in TierStats
 // and on the dbt_native_buffer_fail_total telemetry counter — while the
 // modeled Stats stay byte-identical to an interpreter-tier run.
-func TestNativeBufferFullDemotesToThreaded(t *testing.T) {
+func TestNativeBufferFullFallsBackToInterp(t *testing.T) {
 	if !NativeSupported() {
 		t.Skip("native tier unsupported on this host")
 	}
@@ -57,8 +57,12 @@ func TestNativeBufferFullDemotesToThreaded(t *testing.T) {
 	if ts.NativeDispatches != 0 {
 		t.Errorf("%d native dispatches happened with a 1-byte buffer limit", ts.NativeDispatches)
 	}
-	if ts.ThreadedDispatches == 0 {
-		t.Error("no threaded dispatches: buffer-starved blocks did not demote to threaded")
+	if ts.InterpDispatches == 0 || ts.InterpDispatches != e.Stats.DispatchCount {
+		t.Errorf("%d interp of %d dispatches: buffer-starved blocks did not fall back to the interpreter",
+			ts.InterpDispatches, e.Stats.DispatchCount)
+	}
+	if ts.ThreadedDispatches != 0 {
+		t.Errorf("%d threaded dispatches recorded; the threaded tier is gone", ts.ThreadedDispatches)
 	}
 	if ts.NativeBuildFails != 0 {
 		t.Errorf("placement failures miscounted as build failures (%d)", ts.NativeBuildFails)

@@ -123,7 +123,7 @@ type RunStats struct {
 	Backend  string `json:"backend"`
 	Workload string `json:"workload,omitempty"`
 	// Tier is the execution-tier setting the run used ("interp",
-	// "threaded", "auto"); Tiers carries the per-tier dispatch split and
+	// "native", "auto"); Tiers carries the per-tier dispatch split and
 	// promotion counts. Both ride outside StatsSnapshot — the snapshot is
 	// the cross-tier-identical cycle model, the tier fields are the
 	// wall-clock story — and are omitted by older producers.

@@ -49,8 +49,8 @@ func (e *Engine) adoptOffered() {
 	e.Rules = o.store
 	e.idx = o.idx
 	for i := range e.tbs {
-		// The flush demotes every promoted block: thunks compiled under
-		// the old rule set die with their TBs, and retranslated blocks
+		// The flush demotes every promoted block: native code compiled
+		// under the old rule set dies with its TB, and retranslated blocks
 		// start cold on the interpreter tier.
 		e.noteDropped(e.tbs[i])
 		e.tbs[i] = nil

@@ -32,22 +32,19 @@ type engineTel struct {
 	ruleSwaps   *telemetry.Counter
 	promotions  *telemetry.Counter
 
-	// Per-target promotion split, exported as the labeled series
-	// dbt_tier_promote_total{to="threaded"|"native"} alongside the
-	// unlabeled total above.
-	promoteThreaded *telemetry.Counter
-	promoteNative   *telemetry.Counter
+	// The labeled promotion series dbt_tier_promote_total{to="native"},
+	// alongside the unlabeled total above.
+	promoteNative *telemetry.Counter
 
 	// Per-tier dispatch split, exported as the labeled series
-	// dbt_tier_dispatch_total{tier="interp"|"threaded"|"native"}.
-	interpDisp   *telemetry.Counter
-	threadedDisp *telemetry.Counter
-	nativeDisp   *telemetry.Counter
+	// dbt_tier_dispatch_total{tier="interp"|"native"}.
+	interpDisp *telemetry.Counter
+	nativeDisp *telemetry.Counter
 
 	// nativeBails counts native-tier mid-block handoffs to the
 	// interpreter; bufferFails counts native placements refused by the
-	// code buffer (JITLimit or mmap failure) that demoted the block to
-	// threaded; codeBytes gauges the executable buffer's mapped size.
+	// code buffer (JITLimit or mmap failure) that left the block on the
+	// interpreter; codeBytes gauges the executable buffer's mapped size.
 	nativeBails *telemetry.Counter
 	bufferFails *telemetry.Counter
 	codeBytes   *telemetry.Gauge
@@ -88,14 +85,10 @@ func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
 		invalidated: reg.Counter("dbt_invalidated_tbs_total"),
 		ruleSwaps:   reg.Counter("dbt_rule_swap_total"),
 		promotions:  reg.Counter("dbt_tier_promote_total"),
-		promoteThreaded: reg.Counter(
-			telemetry.Label("dbt_tier_promote_total", "to", "threaded")),
 		promoteNative: reg.Counter(
 			telemetry.Label("dbt_tier_promote_total", "to", "native")),
 		interpDisp: reg.Counter(
 			telemetry.Label("dbt_tier_dispatch_total", "tier", "interp")),
-		threadedDisp: reg.Counter(
-			telemetry.Label("dbt_tier_dispatch_total", "tier", "threaded")),
 		nativeDisp: reg.Counter(
 			telemetry.Label("dbt_tier_dispatch_total", "tier", "native")),
 		nativeBails: reg.Counter("dbt_native_bailouts_total"),
@@ -119,12 +112,9 @@ func (t *engineTel) telDispatch(tb *TB, chained bool, tier Tier) {
 	if chained {
 		t.chainHits.Inc()
 	}
-	switch tier {
-	case TierNative:
+	if tier == TierNative {
 		t.nativeDisp.Inc()
-	case TierThreaded:
-		t.threadedDisp.Inc()
-	default:
+	} else {
 		t.interpDisp.Inc()
 	}
 	t.dispatchSeq++
@@ -166,16 +156,11 @@ func (t *engineTel) telQuarantine(ruleID, n int) {
 	t.reg.Trace(telemetry.EvRefreeze, -1, -1, 0)
 }
 
-// telPromote records a block's promotion to the given target tier
-// (called from promote/promoteNative only when armed; Arg carries the
-// ExecCount that crossed the threshold).
-func (t *engineTel) telPromote(tb *TB, target Tier) {
+// telPromote records a block's promotion to the native tier (called from
+// promoteNative only when armed; Arg carries the ExecCount at promotion).
+func (t *engineTel) telPromote(tb *TB) {
 	t.promotions.Inc()
-	if target == TierNative {
-		t.promoteNative.Inc()
-	} else {
-		t.promoteThreaded.Inc()
-	}
+	t.promoteNative.Inc()
 	t.reg.Trace(telemetry.EvPromote, tb.EntryGPC, -1, tb.ExecCount)
 }
 

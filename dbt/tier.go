@@ -4,36 +4,31 @@ import (
 	"fmt"
 
 	"dbtrules/dbt/jitbuf"
-	"dbtrules/x86"
 	"dbtrules/x86/native"
 )
 
 // Tier selects the execution tier for translated blocks.
 //
 // The deterministic cycle model (Stats, golden snapshots) is identical
-// under every tier: threading or native compilation changes how fast the
-// host walks a block's instructions, never what the block computes or
-// what the model charges for it. TierStats therefore lives outside
-// Stats — it is wall-clock-tier accounting, not part of the modeled
-// machine.
+// under every tier: native compilation changes how fast the host walks a
+// block's instructions, never what the block computes or what the model
+// charges for it. TierStats therefore lives outside Stats — it is
+// wall-clock-tier accounting, not part of the modeled machine.
 type Tier int
 
-// Tiers. TierAuto is the zero value so a zero Engine keeps today's
-// adaptive behaviour: interpret cold blocks, promote hot ones.
+// Tiers. TierAuto is the zero value so a zero Engine keeps the adaptive
+// behaviour: interpret cold blocks, promote hot ones.
 const (
-	// TierAuto interprets cold blocks through the x86.State.Step switch,
-	// promotes a block to pre-bound thunks once its ExecCount crosses the
-	// promotion threshold, and (on hosts with the native back end) to
-	// emitted machine code at the higher native threshold.
+	// TierAuto interprets cold blocks through the x86.State.Step switch
+	// and, on hosts with the native back end, compiles a block to emitted
+	// machine code once its ExecCount reaches promoteThreshold.
 	TierAuto Tier = iota
 	// TierInterp pins every block to the switch interpreter (the seed
 	// engine's behaviour, and the differential baseline).
 	TierInterp
-	// TierThreaded builds thunks eagerly for every dispatched block.
-	TierThreaded
 	// TierNative compiles every dispatched block to host machine code
-	// eagerly, falling back to threaded (then interp) when the back end
-	// is unavailable or rejects the block.
+	// eagerly, falling back to the interpreter when the back end is
+	// unavailable or cannot take the block.
 	TierNative
 )
 
@@ -42,8 +37,6 @@ func (t Tier) String() string {
 	switch t {
 	case TierInterp:
 		return "interp"
-	case TierThreaded:
-		return "threaded"
 	case TierNative:
 		return "native"
 	default:
@@ -58,49 +51,45 @@ func ParseTier(s string) (Tier, error) {
 		return TierAuto, nil
 	case "interp":
 		return TierInterp, nil
-	case "threaded":
-		return TierThreaded, nil
 	case "native":
 		return TierNative, nil
 	}
-	return TierAuto, fmt.Errorf("dbt: unknown tier %q (want interp, threaded, native, or auto)", s)
+	return TierAuto, fmt.Errorf("dbt: unknown tier %q (want interp|native|auto)", s)
 }
 
-// DefaultPromoteThreshold is the ExecCount at which TierAuto promotes a
-// block. Thunk compilation costs one pass over the block's host code, so
-// a handful of switch-interpreted executions is enough evidence that the
-// block will repay pre-binding; blocks executed fewer times pay nothing.
-const DefaultPromoteThreshold = 8
-
-// DefaultNativePromoteThreshold is the ExecCount at which TierAuto lifts
-// an already-threaded block to emitted machine code. Native compilation
-// costs an instruction-encoding pass plus two mprotect flips, an order
-// of magnitude more than a thunk build, so the bar for "hot enough" sits
-// an order of magnitude higher.
-const DefaultNativePromoteThreshold = 64
+// promoteThreshold is the ExecCount at which TierAuto compiles a block to
+// machine code. A handful of interpreted executions is enough evidence
+// that the block will repay the compile (one encoding pass plus the
+// buffer's mprotect flips); blocks executed fewer times pay nothing.
+// Measured against 64 on the corpus (EXPERIMENTS.md, "Two-rung ladder"),
+// 8 ran the engine faster on both ref and test inputs.
+const promoteThreshold = 8
 
 // NativeSupported reports whether this host can run the native tier
 // (amd64 back end compiled in and an executable code buffer available).
-// Elsewhere TierAuto tops out at threaded and TierNative degrades the
-// same way.
+// Elsewhere every block runs on the interpreter, whatever the Tier.
 func NativeSupported() bool { return native.Supported() && jitbuf.Supported() }
 
 // TierStats counts execution-tier activity. It is deliberately not part
 // of Stats: the differential gate compares StatsSnapshot byte-for-byte
 // across tiers, and these counters differ by construction.
 type TierStats struct {
-	// InterpDispatches, ThreadedDispatches, and NativeDispatches split
-	// Stats.DispatchCount by the tier that executed the block.
-	InterpDispatches   uint64 `json:"interp_dispatches"`
+	// InterpDispatches and NativeDispatches split Stats.DispatchCount by
+	// the tier that executed the block.
+	InterpDispatches uint64 `json:"interp_dispatches"`
+	// ThreadedDispatches is always zero: it counted the token-threaded
+	// tier, which was removed. It stays (with Promotions) for readers of
+	// the JSON record until they drop it.
 	ThreadedDispatches uint64 `json:"threaded_dispatches"`
 	NativeDispatches   uint64 `json:"native_dispatches"`
-	// Promotions counts thunk compilations; Demotions counts
-	// thunk-promoted blocks dropped from the code cache (invalidation,
-	// rule hot-swap, fault containment, stale generation) — their thunks
-	// die with them, and a retranslated block starts cold again.
-	// NativePromotions/NativeDemotions are the same pair one tier up.
-	Promotions       uint64 `json:"promotions"`
-	Demotions        uint64 `json:"demotions"`
+	// Promotions is always zero: it counted thunk compilations for the
+	// removed threaded tier. NativePromotions counts native compiles.
+	Promotions uint64 `json:"promotions"`
+	// NativePromotions counts blocks compiled to machine code;
+	// NativeDemotions counts native blocks dropped from the code cache
+	// (invalidation, rule hot-swap, fault containment, stale generation) —
+	// their code dies with them, and a retranslated block starts cold
+	// again.
 	NativePromotions uint64 `json:"native_promotions"`
 	NativeDemotions  uint64 `json:"native_demotions"`
 	// NativeBailouts counts instructions a native block handed back to
@@ -109,61 +98,23 @@ type TierStats struct {
 	// engine warms the TLB from the interpreted instruction, so steady
 	// state is bail-free for resident working sets.
 	NativeBailouts uint64 `json:"native_bailouts,omitempty"`
-	// ThunkBuildFails counts blocks pinned to the interpreter because
-	// thunk compilation rejected their host code. Translate-time
-	// validation (x86.CheckCode) makes this structurally unreachable for
-	// engine-generated blocks; the counter is the canary if the two
-	// checks ever drift. NativeBuildFails is the native back end's
-	// equivalent (also counting all-bail compilations not worth placing).
-	ThunkBuildFails  uint64 `json:"thunk_build_fails,omitempty"`
+	// NativeBuildFails counts blocks the native back end rejected,
+	// including all-bail compilations not worth placing. Such a block
+	// stays on the interpreter (noNative).
 	NativeBuildFails uint64 `json:"native_build_fails,omitempty"`
 	// NativeBufferFails counts blocks whose machine code compiled fine
 	// but could not be placed — the executable buffer hit Engine.JITLimit
-	// or the platform refused the mapping. Each such block demotes to the
-	// threaded tier and stays there (noNative), so a saturated buffer
-	// costs throughput, never correctness.
+	// or the platform refused the mapping. Each such block stays on the
+	// interpreter (noNative), so a saturated buffer costs throughput,
+	// never correctness.
 	NativeBufferFails uint64 `json:"native_buffer_fails,omitempty"`
-}
-
-// promoteAt is the effective threaded-promotion threshold.
-func (e *Engine) promoteAt() uint64 {
-	if e.PromoteThreshold > 0 {
-		return uint64(e.PromoteThreshold)
-	}
-	return DefaultPromoteThreshold
-}
-
-// nativeAt is the effective native-promotion threshold.
-func (e *Engine) nativeAt() uint64 {
-	if e.NativeThreshold > 0 {
-		return uint64(e.NativeThreshold)
-	}
-	return DefaultNativePromoteThreshold
-}
-
-// promote compiles tb's host code into pre-bound thunks. On the (should
-// be impossible, see TierStats.ThunkBuildFails) build failure the block
-// is pinned to the interpreter rather than erroring: threading is an
-// optimization, never a correctness dependency.
-func (e *Engine) promote(tb *TB) {
-	thunks, err := x86.BuildThunks(tb.Host)
-	if err != nil {
-		tb.noThread = true
-		e.TierStats.ThunkBuildFails++
-		return
-	}
-	tb.thunks = thunks
-	e.TierStats.Promotions++
-	if t := e.tel; t.armed() {
-		t.telPromote(tb, TierThreaded)
-	}
 }
 
 // promoteNative compiles tb's host code to machine code and places it in
 // the engine's executable buffer. Any failure (unsupported platform,
 // compile rejection, a block that is all bail stubs, buffer exhaustion)
-// pins the block off the native tier — like thunks, native execution is
-// an optimization, never a correctness dependency.
+// pins the block to the interpreter: native execution is an
+// optimization, never a correctness dependency.
 func (e *Engine) promoteNative(tb *TB) {
 	if !NativeSupported() {
 		tb.noNative = true
@@ -183,9 +134,8 @@ func (e *Engine) promoteNative(tb *TB) {
 	entry, perr := e.jit.Place(code.Text)
 	if perr != nil {
 		// The compile succeeded; only placement failed (buffer at
-		// JITLimit, or the platform refusing executable memory). The
-		// block keeps its thunks, so it demotes to the threaded tier
-		// rather than losing the promotion silently.
+		// JITLimit, or the platform refusing executable memory). Count it
+		// so the fallback to the interpreter is visible.
 		tb.noNative = true
 		e.TierStats.NativeBufferFails++
 		if t := e.tel; t.armed() {
@@ -198,7 +148,7 @@ func (e *Engine) promoteNative(tb *TB) {
 	tb.nativeGen = e.jit.Gen()
 	e.TierStats.NativePromotions++
 	if t := e.tel; t.armed() {
-		t.telPromote(tb, TierNative)
+		t.telPromote(tb)
 		t.codeBytes.Set(uint64(e.jit.Bytes()))
 	}
 }
@@ -208,13 +158,7 @@ func (e *Engine) promoteNative(tb *TB) {
 // the stale-generation backstop) funnels through this so TierStats agrees
 // with the cache's actual contents.
 func (e *Engine) noteDropped(tb *TB) {
-	if tb == nil {
-		return
-	}
-	if tb.thunks != nil {
-		e.TierStats.Demotions++
-	}
-	if tb.native != nil {
+	if tb != nil && tb.native != nil {
 		e.TierStats.NativeDemotions++
 	}
 }

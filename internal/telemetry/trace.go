@@ -17,7 +17,7 @@ const (
 	EvQuarantine                  // a rule was quarantined (Arg: rules removed)
 	EvRefreeze                    // the engine refroze its rule-index snapshot
 	EvInvalidate                  // blocks were invalidated (Arg: block count)
-	EvPromote                     // a block was promoted to the threaded tier (Arg: ExecCount at promotion)
+	EvPromote                     // a block was promoted to the native tier (Arg: ExecCount at promotion)
 	numEventKinds
 )
 

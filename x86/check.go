@@ -6,7 +6,7 @@ import "fmt"
 // combination the interpreter has no semantics for. These used to be
 // panics inside State.Step's hot switch ("movb to 32-bit register", "lea
 // of non-memory operand", …); they are now detected before execution —
-// CheckInstr runs at translate time in the DBT and at thunk-build time —
+// CheckInstr runs at translate time in the DBT and when rules are loaded —
 // so bad host code surfaces as a typed error instead of unwinding the
 // execution loop.
 type OperandError struct {
@@ -59,10 +59,9 @@ func ccValid(c CC) bool {
 }
 
 // CheckInstr validates one instruction against the interpreter's
-// semantics, returning a *OperandError for any shape State.Step (or a
-// thunk built from it) cannot execute. It is the translate-time /
-// thunk-build-time home of the operand checks Step used to perform with
-// panics on the per-step hot path.
+// semantics, returning a *OperandError for any shape State.Step cannot
+// execute. It is the translate-time home of the operand checks Step used
+// to perform with panics on the per-step hot path.
 func CheckInstr(in Instr) error {
 	if !regOK(in.Src) || !regOK(in.Dst) {
 		return operr(in, "register out of range")

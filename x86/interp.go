@@ -299,16 +299,12 @@ func (s *State) Step(in Instr, pc int) int {
 	return next
 }
 
-func stepBudgetError(maxSteps uint64, pc int) error {
-	return fmt.Errorf("x86: step budget (%d) exhausted at pc %d", maxSteps, pc)
-}
-
 // Run executes from pc until control leaves [0, len(code)).
 func (s *State) Run(code []Instr, pc int, maxSteps uint64) (int, error) {
 	start := s.Steps
 	for pc >= 0 && pc < len(code) {
 		if s.Steps-start >= maxSteps {
-			return pc, stepBudgetError(maxSteps, pc)
+			return pc, fmt.Errorf("x86: step budget (%d) exhausted at pc %d", maxSteps, pc)
 		}
 		pc = s.Step(code[pc], pc)
 	}

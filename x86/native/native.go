@@ -18,8 +18,8 @@
 // native speed where native code exists.
 //
 // The whole back end is gated on //go:build amd64 (plus linux for the
-// code buffer); elsewhere Supported() is false and the tier ladder tops
-// out at threaded.
+// code buffer); elsewhere Supported() is false and every block runs on
+// the interpreter.
 package native
 
 import (

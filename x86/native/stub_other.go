@@ -9,8 +9,8 @@ import (
 )
 
 // Supported reports whether this build carries the native back end. On
-// non-amd64 hosts the emitter is compiled out: the tier ladder tops out
-// at threaded and every native gate auto-skips.
+// non-amd64 hosts the emitter is compiled out: every block runs on the
+// interpreter and every native gate auto-skips.
 func Supported() bool { return false }
 
 var errUnsupported = errors.New("native: amd64 back end not compiled in")
